@@ -25,7 +25,6 @@ from .rotmap import (
 from .mapio import normalize_darts, parse_map_text, write_map_text
 from .labeling import (
     LabeledMap,
-    corner_label,
     distance_labeling,
     distance_labels,
     edge_variation,

@@ -3,14 +3,12 @@ trees, and quadrangulations.
 
 Everything here is an oracle. Correctness and auditability win over
 speed, and hard size budgets keep a stray call from wedging the process.
-Generation order is deterministic; the rooted-map search tree can be
-partitioned across worker processes without changing the output order.
+Generation order is deterministic.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Iterator
 
@@ -56,23 +54,16 @@ def _check_budget(n: int, genus: int | None, what: str) -> None:
 # canonical numbering.
 
 
-def _slot_search(n_darts: int, prefix: tuple[int, ...] = (),
-                 stop_depth: int | None = None) -> Iterator[tuple]:
-    """Backtracking over rotation-system slots.
-
-    Yields ("map", sigma, alpha) at complete leaves. With stop_depth set,
-    branches still alive after that many choices yield ("prefix", choices)
-    instead of being expanded; passing such a tuple back as `prefix`
-    restricts a fresh search to that subtree.
-    """
+def _slot_search(n_darts: int) -> Iterator[tuple]:
+    """Backtracking over rotation-system slots; yields (sigma, alpha) at
+    complete leaves."""
     sig = [0] * (n_darts + 1)
     alf = [0] * (n_darts + 1)
     used = [False] * (n_darts + 2)
-    choices: list[int] = []
 
     def rec(d: int, stage: int, m: int) -> Iterator[tuple]:
         if d > n_darts:
-            yield ("map", tuple(sig), tuple(alf))
+            yield tuple(sig), tuple(alf)
             return
         if stage == 0 and d > m:
             # dart d never appeared in earlier slots: the numbering cannot
@@ -81,21 +72,14 @@ def _slot_search(n_darts: int, prefix: tuple[int, ...] = (),
         if stage == 1 and alf[d] != 0:
             yield from rec(d + 1, 0, m)
             return
-        if stop_depth is not None and len(choices) >= stop_depth:
-            yield ("prefix", tuple(choices))
-            return
         if stage == 0:
             cands = [v for v in range(1, m + 1) if not used[v]]
         else:
             cands = [v for v in range(1, m + 1) if alf[v] == 0 and v != d]
         if m < n_darts:
             cands.append(m + 1)
-        k = len(choices)
-        if k < len(prefix):
-            cands = [v for v in cands if v == prefix[k]]
         for v in cands:
             m2 = m + 1 if v > m else m
-            choices.append(v)
             if stage == 0:
                 sig[d] = v
                 used[v] = True
@@ -108,7 +92,6 @@ def _slot_search(n_darts: int, prefix: tuple[int, ...] = (),
                 yield from rec(d + 1, 0, m2)
                 alf[v] = 0
                 alf[d] = 0
-            choices.pop()
 
     yield from rec(1, 0, 1)
 
@@ -119,38 +102,10 @@ def iter_rooted_maps(n_edges: int,
     each exactly once, in canonical numbering. No budget applies."""
     if n_edges < 1:
         raise PreconditionError(f"need n_edges >= 1, got {n_edges}")
-    for _, sigma, alpha in _slot_search(2 * n_edges):
+    for sigma, alpha in _slot_search(2 * n_edges):
         m = RotationMap(sigma, alpha)
         if genus is None or m.genus == genus:
             yield m
-
-
-def _expand_prefix(args: tuple[int, tuple[int, ...]]) -> list[tuple]:
-    n_darts, prefix = args
-    return [(sigma, alpha)
-            for _, sigma, alpha in _slot_search(n_darts, prefix=prefix)]
-
-
-def _rooted_maps_parallel(n_edges: int, genus: int | None,
-                          jobs: int) -> list[RotationMap]:
-    n_darts = 2 * n_edges
-    items = list(_slot_search(n_darts, stop_depth=4))
-    prefixes = [(n_darts, it[1]) for it in items if it[0] == "prefix"]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        expanded = list(pool.map(_expand_prefix, prefixes))
-    out: list[RotationMap] = []
-    pi = 0
-    for it in items:
-        if it[0] == "map":
-            chunk = [(it[1], it[2])]
-        else:
-            chunk = expanded[pi]
-            pi += 1
-        for sigma, alpha in chunk:
-            m = RotationMap(sigma, alpha)
-            if genus is None or m.genus == genus:
-                out.append(m)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -159,12 +114,10 @@ def _rooted_maps_cached(n_edges: int,
     return tuple(iter_rooted_maps(n_edges, genus))
 
 
-def enumerate_rooted_maps(n_edges: int, genus: int | None = None,
-                          jobs: int = 1) -> list[RotationMap]:
+def enumerate_rooted_maps(n_edges: int,
+                          genus: int | None = None) -> list[RotationMap]:
     """All rooted maps with n edges and the given genus, budget-checked."""
     _check_budget(n_edges, genus, "rooted maps")
-    if jobs > 1:
-        return _rooted_maps_parallel(n_edges, genus, jobs)
     return list(_rooted_maps_cached(n_edges, genus))
 
 
@@ -325,24 +278,22 @@ def _iter_relative_labelings(m: RotationMap) -> Iterator[tuple[int, ...]]:
     yield from rec(1)
 
 
+def _embedded_trees(n_edges: int, genus: int) -> Iterator[LabeledMap]:
+    for m in _one_face_cached(n_edges, genus):
+        for rel in _iter_relative_labelings(m):
+            yield LabeledMap(m, tuple(x + 1 for x in rel))
+
+
 @lru_cache(maxsize=None)
 def _wl_trees_cached(n_edges: int, genus: int) -> tuple[LabeledMap, ...]:
     # root label 1 and minimum 1 together: the root must realize the minimum
-    out = []
-    for m in _one_face_cached(n_edges, genus):
-        for rel in _iter_relative_labelings(m):
-            if min(rel) == 0:
-                out.append(LabeledMap(m, tuple(x + 1 for x in rel)))
-    return tuple(out)
+    return tuple(t for t in _embedded_trees(n_edges, genus)
+                 if min(t.labels) == 1)
 
 
 @lru_cache(maxsize=None)
 def _embedded_trees_cached(n_edges: int, genus: int) -> tuple[LabeledMap, ...]:
-    out = []
-    for m in _one_face_cached(n_edges, genus):
-        for rel in _iter_relative_labelings(m):
-            out.append(LabeledMap(m, tuple(x + 1 for x in rel)))
-    return tuple(out)
+    return tuple(_embedded_trees(n_edges, genus))
 
 
 def enumerate_well_labeled_trees(n_edges: int, genus: int) -> list[LabeledMap]:

@@ -302,14 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="surfmaps",
         description="Rooted maps on orientable surfaces: bijections, "
                     "exact enumeration, censuses and uniform sampling.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "lines"),
-                        default="table",
-                        help="presentation of reports and summaries")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def cmd(name, func, help_, with_file=False):
-        p = sub.add_parser(name, parents=[common], help=help_)
+        p = sub.add_parser(name, help=help_)
         if with_file:
             p.add_argument("file", nargs="?", default="-",
                            help="map file, or - for standard input")
@@ -328,16 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = cmd("open", _cmd_open,
             "open a quadrangulation into a labeled one-face map",
             with_file=True)
-    p.add_argument("--rooted", action="store_true",
-                   help="open at the root vertex (the default)")
     p.add_argument("--pointed", type=int, metavar="VERTEX",
                    help="open at this vertex index; also prints the sign")
 
     p = cmd("close", _cmd_close,
             "close a labeled one-face map into a quadrangulation",
             with_file=True)
-    p.add_argument("--rooted", action="store_true",
-                   help="close a well-labeled map (the default)")
     p.add_argument("--sign", type=int, choices=(1, -1),
                    help="close an embedded map with this sign; "
                         "also prints the basepoint")
@@ -385,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=sorted(LEVELS), default="desk")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent checks")
+    p.add_argument("--format", choices=("table", "lines"), default="table",
+                   help="presentation of the report")
 
     return parser
 

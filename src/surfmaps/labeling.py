@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError, StructureError
-from .rotmap import Corner, RotationMap
+from .rotmap import RotationMap
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class LabeledMap:
 
     def canonical_key(self) -> tuple:
         """Rooted isomorphism invariant including labels."""
-        c = self.map.canonical()
         perm = self.map._canonical_perm()
+        c = self.map.relabel(perm)
         order = sorted(range(self.map.n_vertices),
                        key=lambda i: min(perm[d]
                                          for d in self.map.vertices[i]))
@@ -59,10 +59,6 @@ class LabeledMap:
     def unrooted_key(self) -> tuple:
         return min(LabeledMap(self.map.reroot(d), self.labels).canonical_key()
                    for d in range(1, self.map.n_darts + 1))
-
-
-def corner_label(lm: LabeledMap, c: Corner) -> int:
-    return lm.label_of(c)
 
 
 def edge_variation(lm: LabeledMap, d: int) -> int:

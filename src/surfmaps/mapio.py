@@ -60,8 +60,7 @@ def write_map_text(m: RotationMap,
             raise MapFormatError(
                 f"got {len(labels)} labels for {m.n_vertices} vertices")
         # vertex order follows least darts, which the relabeling permutes
-        old_order = [min(orb) for orb in m.vertices]
-        relabeled = sorted(range(len(old_order)),
+        relabeled = sorted(range(m.n_vertices),
                            key=lambda i: min(perm[d] for d in
                                              m.vertices[i]))
         lines.append("labels " + " ".join(str(labels[i]) for i in relabeled))

@@ -88,9 +88,8 @@ def quad_to_map(q: RotationMap) -> RotationMap:
     cur = cur.reroot(root_m)
     # erase white stars one vertex at a time; tracking one dart per white
     # vertex through the renumbering of the intermediate deletions
-    white_darts = {v: orbit[0] for v, orbit in enumerate(q.vertices)
-                   if color[v] == 1}
-    track = {v: d for v, d in white_darts.items()}
+    track = {v: orbit[0] for v, orbit in enumerate(q.vertices)
+             if color[v] == 1}
     for v in sorted(track):
         cur, dmap = delete_vertex_star(cur, track[v], return_dart_map=True)
         track = {w: dmap[d] for w, d in track.items() if w != v}

@@ -511,13 +511,10 @@ def validate(sigma: Sequence[int], alpha: Sequence[int],
     n = len(sigma)
 
     def is_perm(arr: Sequence[int]) -> bool:
-        if len(arr) != n:
+        try:
+            _check_permutation((0,) + tuple(arr), n, "array")
+        except StructureError:
             return False
-        seen = set()
-        for x in arr:
-            if not isinstance(x, int) or not (1 <= x <= n) or x in seen:
-                return False
-            seen.add(x)
         return True
 
     sigma_ok = n > 0 and n % 2 == 0 and is_perm(sigma)

@@ -153,13 +153,6 @@ class MotzkinWalk:
         return len(self.steps)
 
 
-def _scheme_edges(shape: RotationMap) -> list[tuple[int, int]]:
-    """Edges as (smaller dart, partner), in ascending dart order. This
-    fixes the orientation every walk is read in."""
-    return [(d, shape.alpha[d]) for d in range(1, shape.n_darts + 1)
-            if d < shape.alpha[d]]
-
-
 @dataclass(frozen=True)
 class SchemeDecomposition:
     """A scheme, one Motzkin walk per scheme edge, and the increasing
@@ -186,7 +179,7 @@ class SchemeDecomposition:
             raise PreconditionError("values must be increasing and positive")
         vals = (0,) + self.values
         vi = s.shape.vertex_index
-        for idx, (d, e) in enumerate(_scheme_edges(s.shape)):
+        for idx, (d, e) in enumerate(s.shape.edges):
             want = vals[s.labels[vi[e]]] - vals[s.labels[vi[d]]]
             got = self.walks[idx].increment
             if got != want:
@@ -215,28 +208,16 @@ def _pendant_subtree(m: RotationMap, seeds: list[int]) -> list[int]:
     return result
 
 
-def _extract_attachment(t: LabeledMap, seeds: list[int]):
-    """Standalone labeled tree on the darts hanging in one corner.
-
-    Returns (labeled map rooted at the first seed, old dart -> new dart).
-    """
+def _restrict_labeled(t: LabeledMap, doomed: set[int], root: int,
+                      may_vanish: frozenset[int]):
+    """_restrict_to_darts on a labeled map: every surviving vertex keeps
+    its label. Returns (labeled map, old dart -> new dart)."""
     m = t.map
-    darts = sorted(_pendant_subtree(m, seeds))
-    dset = set(darts)
-    ren = {d: i + 1 for i, d in enumerate(darts)}
-    sig = [0] * (len(darts) + 1)
-    alf = [0] * (len(darts) + 1)
-    for d in darts:
-        e = m.sigma[d]
-        while e not in dset:
-            e = m.sigma[e]
-        sig[ren[d]] = ren[e]
-        alf[ren[d]] = ren[m.alpha[d]]
-    amap = RotationMap(tuple(sig), tuple(alf), ren[seeds[0]])
-    inv = {v: k for k, v in ren.items()}
+    sub, dart_map = _restrict_to_darts(m, doomed, root, may_vanish)
+    inv = {v: k for k, v in dart_map.items()}
     labels = tuple(t.labels[m.vertex_index[inv[orb[0]]]]
-                   for orb in amap.vertices)
-    return LabeledMap(amap, labels), ren
+                   for orb in sub.vertices)
+    return LabeledMap(sub, labels), dart_map
 
 
 def reduce(t: LabeledMap) -> ReducedTree:
@@ -293,24 +274,25 @@ def reduce(t: LabeledMap) -> ReducedTree:
             raise InternalCheckError("root fell outside every corner")
 
     doomed = {d for d in range(1, m.n_darts + 1) if not alive[d]}
-    cmap_m, dmap = _restrict_to_darts(m, doomed, root_core,
-                                      may_vanish=frozenset(dead_v))
+    core, dmap = _restrict_labeled(t, doomed, root_core, frozenset(dead_v))
     inv = {v: k for k, v in dmap.items()}
-    core_labels = tuple(t.labels[m.vertex_index[inv[orb[0]]]]
-                        for orb in cmap_m.vertices)
-    core = LabeledMap(cmap_m, core_labels)
 
-    cs = face_corners(cmap_m, cmap_m.root)
-    i0 = cs.index(cmap_m.root)
+    cs = face_corners(core.map, core.map.root)
+    i0 = cs.index(core.map.root)
     order = cs[i0:] + cs[:i0]
     attachments: list[Optional[LabeledMap]] = []
     second_root = None
+    # an attachment keeps only its pendant darts, so any vertex may vanish
+    all_darts = set(range(1, m.n_darts + 1))
+    all_vertices = frozenset(range(m.n_vertices))
     for y in order:
         run = runs[inv[y]]
         if not run:
             attachments.append(None)
             continue
-        att, ren = _extract_attachment(t, run)
+        att, ren = _restrict_labeled(
+            t, all_darts.difference(_pendant_subtree(m, run)), run[0],
+            all_vertices)
         attachments.append(att)
         if second_old is not None and second_old in ren:
             second_root = ren[second_old]
@@ -423,7 +405,7 @@ def extract_scheme(r: ReducedTree) -> SchemeDecomposition:
     shape_labels = tuple(vals.index(x) for x in raw)
     values = tuple(v - vals[0] for v in vals[1:])
     walks = tuple(MotzkinWalk(chain_steps[d])
-                  for d, _ in _scheme_edges(shape))
+                  for d, _ in shape.edges)
     return SchemeDecomposition(Scheme(shape, shape_labels), walks, values)
 
 
@@ -443,7 +425,7 @@ def rebuild(dec: SchemeDecomposition) -> ReducedTree:
         lab[d] = vals[s.labels[vi[d]]]
 
     nxt = shape.n_darts + 1
-    for idx, (d, e) in enumerate(_scheme_edges(shape)):
+    for idx, (d, e) in enumerate(shape.edges):
         steps = dec.walks[idx].steps
         prev = d
         cur = lab[d]
@@ -531,7 +513,7 @@ def d_profile(s: Scheme) -> DProfile:
     p = s.p
     e_eq = 0
     d_levels = [0] * p
-    for d, e in _scheme_edges(s.shape):
+    for d, e in s.shape.edges:
         a, b = s.labels[vi[d]], s.labels[vi[e]]
         if a == b:
             e_eq += 1

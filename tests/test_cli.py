@@ -1,12 +1,15 @@
 """The command line, driven through run() with captured output."""
 
+import argparse
+import inspect
+import re
 import subprocess
 import sys
 
 import pytest
 
 from surfmaps import LabeledMap
-from surfmaps.cli import run
+from surfmaps.cli import build_parser, run
 from surfmaps.mapio import parse_map_text
 
 LINK = "n_darts 2\nsigma 1 2\nalpha 2 1\nroot 1\n"
@@ -275,6 +278,21 @@ class TestUsage:
 
     def test_help(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_every_option_is_read(self):
+        # an option whose dest the handler never reads is a silent no-op
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for name, p in sub.choices.items():
+            source = inspect.getsource(p.get_default("func"))
+            for action in p._actions:
+                if action.dest == "help":
+                    continue
+                if not re.search(rf"\bargs\.{action.dest}\b", source):
+                    unread.append((name, action.dest))
+        assert unread == []
 
     def test_console_script(self):
         proc = subprocess.run(

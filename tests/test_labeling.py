@@ -8,7 +8,6 @@ from surfmaps import (
     LabeledMap,
     RotationMap,
     StructureError,
-    corner_label,
     distance_labeling,
     distance_labels,
     edge_variation,
@@ -33,12 +32,6 @@ def test_label_lookup():
     assert lm.label_of(3) == 2
     assert lm.label_of(4) == 1
     assert lm.root_label == 1
-
-
-def test_corner_label_matches_vertex():
-    lm = path_lm()
-    for d in range(1, 5):
-        assert corner_label(lm, d) == lm.label_of(d)
 
 
 def test_edge_variation():

@@ -317,6 +317,23 @@ class TestValidate:
         assert not d.connected
         assert d.genus is None
 
+    def test_odd_dart_count(self):
+        d = validate([2, 3, 1], [2, 1, 3])
+        assert (d.n_darts, d.sigma_ok, d.alpha_ok) == (3, False, False)
+        assert not d.ok
+
+    def test_root_out_of_range(self):
+        d = validate([3, 4, 2, 1], [2, 1, 4, 3], 5)
+        assert d.sigma_ok and d.alpha_ok
+        assert not d.root_ok
+        assert not d.ok and d.genus is None
+
+    def test_non_integer_entry(self):
+        d = validate([1, 2.0], [2, 1])
+        assert not d.sigma_ok and d.alpha_ok
+        d = validate([1, 2], [2, "1"])
+        assert d.sigma_ok and not d.alpha_ok
+
 
 class TestRandomMaps:
     def test_requested_genus(self):

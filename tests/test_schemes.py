@@ -83,8 +83,12 @@ class TestReduce:
         m = add_vertex_star(fig8, [1])
         t = LabeledMap(m.reroot(6), (1, 2))
         r = reduce(t)
-        assert r.second_root is not None
-        assert r.attachments[0] is not None
+        # the root arc 6 becomes arc 2 of the pendant edge in corner 0
+        assert r == ReducedTree(
+            LabeledMap(fig8, (1,)),
+            (LabeledMap(RotationMap((0, 1, 2), (0, 2, 1)), (1, 2)),
+             None, None, None),
+            second_root=2)
         assert graft(r).canonical_key() == t.canonical_key()
 
     def test_two_level_pendant(self, fig8):
@@ -92,8 +96,11 @@ class TestReduce:
         m = add_vertex_star(m, [6])
         t = LabeledMap(m, (1, 2, 1))
         r = reduce(t)
-        hung = [a for a in r.attachments if a is not None]
-        assert len(hung) == 1 and hung[0].map.n_edges == 2
+        path = RotationMap((0, 1, 3, 2, 4), (0, 2, 1, 4, 3))
+        assert r == ReducedTree(
+            LabeledMap(fig8, (1,)),
+            (LabeledMap(path, (1, 2, 1)), None, None, None),
+            second_root=None)
         assert graft(r).canonical_key() == t.canonical_key()
 
     def test_rejects_planar(self):
