@@ -11,6 +11,10 @@ is wired into every corner labeled 1, every other corner is joined to its
 predecessor (the first corner with the next smaller label along the face
 walk), and the tree edges are erased. Matching corners of the tree root
 recover the root of the quadrangulation, one arc per sign.
+
+Each step draws every new edge into one pair of dart arrays, builds the
+map once, checks it as a whole and erases the old darts in one
+restriction, so both directions take time linear in the map size.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from .quad import check_quadrangulation
 from .rotmap import (
     Corner,
     RotationMap,
-    add_edge_in_face,
+    _draw_edge,
+    _restrict_to_darts,
     add_vertex_star,
-    delete_edges,
-    delete_vertex_star,
     face_corners,
     next_corner,
 )
@@ -67,27 +70,22 @@ class OpeningResult(NamedTuple):
     sign: int
 
 
-def _pred_corner(m: RotationMap, vlabels, c: Corner) -> Corner:
-    """First corner with label one below c's, walking the face from c."""
-    vi = m.vertex_index
-    want = vlabels[vi[c]] - 1
+def predecessor(t_prime: LabeledMap, c: Corner) -> Corner:
+    """The corner a chord from c would attach to: the first corner with
+    label one below c's, walking the face from c."""
+    m = t_prime.map
+    if not (1 <= c <= m.n_darts):
+        raise PreconditionError(f"corner {c} is out of range")
+    want = t_prime.label_of(c) - 1
+    if want < 0:
+        raise PreconditionError("corner label must be at least 1")
     x = next_corner(m, c)
     while x != c:
-        if vlabels[vi[x]] == want:
+        if t_prime.label_of(x) == want:
             return x
         x = next_corner(m, x)
     raise PreconditionError(
         f"no corner labeled {want} in the face of corner {c}")
-
-
-def predecessor(t_prime: LabeledMap, c: Corner) -> Corner:
-    """The corner a chord from c would attach to."""
-    m = t_prime.map
-    if not (1 <= c <= m.n_darts):
-        raise PreconditionError(f"corner {c} is out of range")
-    if t_prime.label_of(c) < 1:
-        raise PreconditionError("corner label must be at least 1")
-    return _pred_corner(m, t_prime.labels, c)
 
 
 # -- opening -----------------------------------------------------------------
@@ -150,11 +148,13 @@ def _open_core(q: RotationMap, v0: int) -> tuple[LabeledMap, int]:
     check_quadrangulation(q)
     if not (0 <= v0 < q.n_vertices):
         raise PreconditionError(f"basepoint {v0} is out of range")
-    dist = distance_labels(q, q.vertices[v0][0])
+    v0_dart = q.vertices[v0][0]
+    dist = distance_labels(q, v0_dart)
     vi = q.vertex_index
 
-    # one chord per face, joining the two corners where labels step up
-    chords = []
+    # one chord per face, joining the two corners where labels step up;
+    # every corner lies in one face, so the chords never share a corner
+    sig, alf = list(q.sigma), list(q.alpha)
     for f in q.faces:
         walk = face_corners(q, f[0])
         labs = [dist[vi[c]] for c in walk]
@@ -162,14 +162,10 @@ def _open_core(q: RotationMap, v0: int) -> tuple[LabeledMap, int]:
         if len(asc) != 2:
             raise InternalCheckError(
                 f"face walk has labels {labs}, not a geodesic pattern")
-        chords.append((walk[asc[0]], walk[asc[1]]))
-    cur = q
-    chord_at = {}
-    for u, v in chords:
-        r = cur.n_darts
-        cur = add_edge_in_face(cur, u, v)
-        chord_at[u] = r + 1
-        chord_at[v] = r + 2
+        _draw_edge(sig, alf, walk[asc[0]], walk[asc[1]])
+    cur = RotationMap(sig, alf, q.root)
+    if cur.n_faces != 2 * q.n_faces or cur.genus != q.genus:
+        raise InternalCheckError("opening chords changed the surface")
 
     _certify_orientation(q, cur, dist)
 
@@ -177,20 +173,16 @@ def _open_core(q: RotationMap, v0: int) -> tuple[LabeledMap, int]:
     e_hat = q.root if dist[vi[q.alpha[q.root]]] > dist[vi[q.root]] \
         else q.alpha[q.root]
     sign = 1 if e_hat == q.root else -1
-    root_t = chord_at[q.alpha[e_hat]]
+    root_t = cur.sigma[q.alpha[e_hat]]
 
-    cur2, dmap1 = delete_vertex_star(cur, q.vertices[v0][0],
-                                     new_root=root_t, return_dart_map=True)
-    survivors = [dmap1[d] for d in range(1, q.n_darts + 1) if d in dmap1]
-    tree, dmap2 = delete_edges(cur2, survivors, return_dart_map=True)
+    # erase the basepoint star and every other original edge at once
+    tree, dart_map = _restrict_to_darts(
+        cur, set(range(1, q.n_darts + 1)), root_t,
+        may_vanish=frozenset({cur.vertex_index[v0_dart]}))
 
     # labels follow the vertices: chord darts never move between vertices
     cvi = cur.vertex_index
-    inv = {}
-    for old, mid in dmap1.items():
-        new = dmap2.get(mid)
-        if new is not None:
-            inv[new] = old
+    inv = {new: old for old, new in dart_map.items()}
     labels = tuple(dist[cvi[inv[orbit[0]]]] for orbit in tree.vertices)
     lm = LabeledMap(tree, labels)
     if tree.n_faces != 1 or tree.genus != q.genus or not is_well_labeled(lm):
@@ -244,27 +236,43 @@ def _close_core(t: LabeledMap) -> tuple[RotationMap, int, int]:
     v0_dart = n_darts0 + 2
     v0_idx = tp.n_vertices - 1
     vlab = t.labels + (0,)
+    tvi = tp.vertex_index
 
-    cur = tp
+    sig, alf = list(tp.sigma), list(tp.alpha)
+    # far dart of the latest chord that landed at each corner
+    last = {}
     for f in tp.faces:
         corners = face_corners(tp, f[0])
-        i0 = next(i for i, c in enumerate(corners)
-                  if tp.vertex_index[c] == v0_idx)
+        i0 = next(i for i, c in enumerate(corners) if tvi[c] == v0_idx)
         listing = corners[i0:] + corners[:i0]
-        q_len = len(listing) - 1
-        inner = listing[2:q_len]
-        if any(vlab[tp.vertex_index[c]] < 2 for c in inner):
+        inner = listing[2:-1]
+        if any(vlab[tvi[c]] < 2 for c in inner):
             raise InternalCheckError("corner below 2 strictly inside a face")
-        # chords in reverse walk order so each corner's own chord is in
-        # place before later chords land next to it
+        # One backward pass: a corner's predecessor is the nearest later
+        # corner labeled one less. Chords go in reverse walk order, so each
+        # corner's own chord is in place before later chords land next to
+        # it, and a chord landing where others already did goes right after
+        # the latest of them, which is where the growing face meets it.
+        nearest = {vlab[tvi[listing[-1]]]: listing[-1]}
         for c in reversed(inner):
-            cur = add_edge_in_face(cur, c, _pred_corner(cur, vlab, c))
+            lab = vlab[tvi[c]]
+            p = nearest.get(lab - 1)
+            if p is None:
+                raise InternalCheckError(
+                    f"corner {c} has no predecessor in its face")
+            last[p] = _draw_edge(sig, alf, c, last.get(p, p)) + 1
+            nearest[lab] = c
+    cur = RotationMap(sig, alf, m.root)
+    # each chord splits one face
+    if (cur.n_faces != tp.n_faces + (cur.n_darts - tp.n_darts) // 2
+            or cur.genus != m.genus):
+        raise InternalCheckError("closure chords changed the surface")
 
     # both root recoveries read the rotation just before the tree root
-    before = cur.sigma.index(m.root)
-    root_plus = cur.alpha[before]
-    quad, dmap = delete_edges(cur, list(range(1, n_darts0 + 1)),
-                              new_root=root_plus, return_dart_map=True)
+    before = sig.index(m.root)
+    root_plus = alf[before]
+    quad, dmap = _restrict_to_darts(cur, set(range(1, n_darts0 + 1)),
+                                    root_plus)
     try:
         check_quadrangulation(quad)
     except PreconditionError as exc:

@@ -4,18 +4,20 @@ Triangulating every face from a new vertex and erasing the original
 edges turns a map with n edges into a bipartite quadrangulation with n
 faces on the same surface: original vertices stay black, face vertices
 are white, and each quadrangular face remembers one erased edge as its
-black diagonal. Both directions are implemented as explicit surgery.
+black diagonal. Each direction draws every new edge into one pair of
+dart arrays, builds the map once and erases the old edges in one
+restriction.
 """
 
 from __future__ import annotations
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .rotmap import (
     RotationMap,
-    add_edge_in_face,
-    add_vertex_star,
+    _draw_edge,
+    _draw_star,
+    _restrict_to_darts,
     delete_edges,
-    delete_vertex_star,
     face_corners,
 )
 
@@ -63,13 +65,16 @@ def map_to_quad(m: RotationMap) -> RotationMap:
     The root becomes the new edge drawn in the corner of the root dart,
     keeping the root vertex and pointing into the face on the root's side.
     """
-    cur = m
+    sig, alf = list(m.sigma), list(m.alpha)
     for f in m.faces:
         # corner lists survive earlier stars: those touch other faces only
-        cur = add_vertex_star(cur, face_corners(m, f[0]))
-    root_q = cur.sigma[m.root]
-    old_edges = list(range(1, m.n_darts + 1))
-    return delete_edges(cur, old_edges, new_root=root_q)
+        _draw_star(sig, alf, face_corners(m, f[0]))
+    cur = RotationMap(sig, alf, m.root)
+    # a face of degree k splits into k faces
+    if cur.n_faces != m.n_darts or cur.genus != m.genus:
+        raise InternalCheckError("face stars changed the surface")
+    return delete_edges(cur, range(1, m.n_darts + 1),
+                        new_root=cur.sigma[m.root])
 
 
 def quad_to_map(q: RotationMap) -> RotationMap:
@@ -78,19 +83,20 @@ def quad_to_map(q: RotationMap) -> RotationMap:
     (relevant in genus at least 1) non-bipartite input."""
     color = check_quadrangulation(q)
     vi = q.vertex_index
-    cur = q
+    sig, alf = list(q.sigma), list(q.alpha)
     for f in q.faces:
         corners = face_corners(q, f[0])
         black = [c for c in corners if color[vi[c]] == 0]
         # degree 4 and alternating colors leave exactly two black corners
-        cur = add_edge_in_face(cur, black[0], black[1])
-    root_m = cur.sigma.index(q.root)
-    cur = cur.reroot(root_m)
-    # erase white stars one vertex at a time; tracking one dart per white
-    # vertex through the renumbering of the intermediate deletions
-    track = {v: orbit[0] for v, orbit in enumerate(q.vertices)
-             if color[v] == 1}
-    for v in sorted(track):
-        cur, dmap = delete_vertex_star(cur, track[v], return_dart_map=True)
-        track = {w: dmap[d] for w, d in track.items() if w != v}
-    return cur
+        _draw_edge(sig, alf, black[0], black[1])
+    cur = RotationMap(sig, alf, q.root)
+    white = frozenset(cur.vertex_index[orbit[0]]
+                      for v, orbit in enumerate(q.vertices) if color[v] == 1)
+    # every original edge has a white end, so erasing the white stars
+    # erases all of them and leaves the diagonals
+    out, _ = _restrict_to_darts(cur, set(range(1, q.n_darts + 1)),
+                                sig.index(q.root), may_vanish=white)
+    if out.n_faces != len(white) or out.genus != q.genus:
+        raise InternalCheckError(
+            "removing the white stars changed the surface")
+    return out

@@ -18,7 +18,10 @@ zero.  A corner is named by the dart it follows: the corner ``c`` is the
 sector between arc ``c`` and ``sigma[c]`` at their common origin, and it
 belongs to the face walk of ``alpha[c]``'s orbit.
 
-All surgery functions return new maps; RotationMap is immutable.
+All surgery functions return new maps; RotationMap is immutable.  Their
+private primitives ``_draw_edge`` and ``_draw_star`` append darts to plain
+sigma/alpha lists in place, so a construction that draws many edges builds
+its RotationMap once.
 """
 
 from __future__ import annotations
@@ -279,6 +282,45 @@ def face_corners(m: RotationMap, d: int) -> tuple[Corner, ...]:
 # -- edge and vertex surgery ------------------------------------------------
 
 
+def _draw_edge(sig: list, alf: list, c1: Corner, c2: Corner) -> int:
+    """Append an edge joining corners c1 and c2 to the dart lists, in place.
+
+    Returns the new dart a at c1; its partner a + 1 sits at c2.  When
+    c1 == c2 the loop's two darts follow c1 in the order a, a + 1.
+    """
+    a = len(sig)
+    b = a + 1
+    sig += [0, 0]
+    alf += [b, a]
+    sig[b] = sig[c2]
+    sig[c2] = b
+    sig[a] = sig[c1]
+    sig[c1] = a
+    return a
+
+
+def _draw_star(sig: list, alf: list, corners: Sequence[Corner]) -> None:
+    """Append a new vertex joined to each corner, in place.
+
+    Spoke darts r+1, r+3, ... sit at the corners; darts r+2, r+4, ...
+    form the new vertex, where r is the dart count before the call.
+    """
+    r = len(sig) - 1
+    k = len(corners)
+    sig += [0] * (2 * k)
+    alf += [0] * (2 * k)
+    for i, c in enumerate(corners):
+        a = r + 2 * i + 1
+        b = a + 1
+        sig[a] = sig[c]
+        sig[c] = a
+        alf[a] = b
+        alf[b] = a
+        # star chirality: at the new vertex the rotation runs against the
+        # face-walk order of the chosen corners, which keeps the genus
+        sig[b] = b - 2 if i else r + 2 * k
+
+
 def add_edge_in_face(m: RotationMap, c1: Corner, c2: Corner) -> RotationMap:
     """Join two corners of a common face by a new edge.
 
@@ -288,22 +330,9 @@ def add_edge_in_face(m: RotationMap, c1: Corner, c2: Corner) -> RotationMap:
     if corner_face(m, c1) != corner_face(m, c2):
         raise PreconditionError(
             f"corners {c1} and {c2} do not share a face")
-    r = m.n_darts
-    a, b = r + 1, r + 2
-    sig = list(m.sigma) + [0, 0]
-    alf = list(m.alpha) + [0, 0]
-    if c1 == c2:
-        sig[a] = b
-        sig[b] = sig[c1]
-        sig[c1] = a
-    else:
-        sig[a] = sig[c1]
-        sig[c1] = a
-        sig[b] = sig[c2]
-        sig[c2] = b
-    alf[a] = b
-    alf[b] = a
-    out = RotationMap(tuple(sig), tuple(alf), m.root)
+    sig, alf = list(m.sigma), list(m.alpha)
+    _draw_edge(sig, alf, c1, c2)
+    out = RotationMap(sig, alf, m.root)
     if out.n_faces != m.n_faces + 1 or out.genus != m.genus:
         raise InternalCheckError("edge insertion changed the surface")
     return out
@@ -334,23 +363,9 @@ def add_vertex_star(m: RotationMap, corners: Sequence[Corner]) -> RotationMap:
     if rotated != sorted(ranks):
         raise PreconditionError("corners are not in face-walk order")
 
-    r = m.n_darts
-    sig = list(m.sigma) + [0] * (2 * k)
-    alf = list(m.alpha) + [0] * (2 * k)
-    for i, c in enumerate(corners):
-        a = r + 2 * i + 1
-        b = r + 2 * i + 2
-        sig[a] = sig[c]
-        sig[c] = a
-        alf[a] = b
-        alf[b] = a
-    for i in range(k):
-        # star chirality: at the new vertex the rotation runs against the
-        # face-walk order of the chosen corners, which keeps the genus
-        b = r + 2 * i + 2
-        b_prev = r + 2 * ((i - 1) % k) + 2
-        sig[b] = b_prev
-    out = RotationMap(tuple(sig), tuple(alf), m.root)
+    sig, alf = list(m.sigma), list(m.alpha)
+    _draw_star(sig, alf, corners)
+    out = RotationMap(sig, alf, m.root)
     if out.n_faces != m.n_faces + k - 1 or out.genus != m.genus:
         raise InternalCheckError("star insertion changed the surface")
     return out
@@ -370,8 +385,9 @@ def _normalize_edge_set(m: RotationMap, edges: Iterable[int]) -> set[int]:
 def _restrict_to_darts(m: RotationMap, doomed: set[int],
                        new_root: Optional[int],
                        may_vanish: frozenset[int] = frozenset()):
-    """Shared tail of the deletion operations: rebuild sigma on the
-    surviving darts, renumber them in ascending order, pick the root.
+    """Shared tail of every deletion, and of the bijections that erase
+    old darts in one step: rebuild sigma on the surviving darts,
+    renumber them in ascending order, pick the root.
 
     Returns (map, dart_map) where dart_map sends old surviving darts to
     their new names.  Raises PreconditionError if a vertex outside
@@ -405,13 +421,12 @@ def _restrict_to_darts(m: RotationMap, doomed: set[int],
         root = dart_map[m.root]
     else:
         raise PreconditionError(
-            "root dart is deleted and no new_root was given")
+            "root dart is deleted; reroot at a surviving dart first")
     return RotationMap(tuple(sig), tuple(alf), root), dart_map
 
 
 def delete_edges(m: RotationMap, edges: Iterable[int], *,
-                 new_root: Optional[int] = None,
-                 return_dart_map: bool = False):
+                 new_root: Optional[int] = None) -> RotationMap:
     """Delete a set of edges whose dual edges form a forest.
 
     ``edges`` is any iterable of darts; each names its whole edge.  The
@@ -440,21 +455,19 @@ def delete_edges(m: RotationMap, edges: Iterable[int], *,
                 "deleting it would change the surface")
         parent[fa] = fb
 
-    out, dart_map = _restrict_to_darts(m, doomed, new_root)
+    out, _ = _restrict_to_darts(m, doomed, new_root)
     if out.n_faces != m.n_faces - n_deleted or out.genus != m.genus:
         raise InternalCheckError("edge deletion changed the surface")
-    return (out, dart_map) if return_dart_map else out
+    return out
 
 
-def delete_vertex_star(m: RotationMap, v_dart: int, *,
-                       new_root: Optional[int] = None,
-                       return_dart_map: bool = False):
+def delete_vertex_star(m: RotationMap, v_dart: int) -> RotationMap:
     """Delete a vertex together with all its incident edges.
 
     Requires: no loop at the vertex, the incident faces pairwise
     distinct, and a nonempty remainder.  These conditions make the
     deletion a homeomorphism-safe operation: faces merge into one and the
-    genus is preserved.
+    genus is preserved.  The root must survive; reroot first otherwise.
     """
     if not (1 <= v_dart <= m.n_darts):
         raise PreconditionError(f"dart {v_dart} is out of range")
@@ -472,11 +485,11 @@ def delete_vertex_star(m: RotationMap, v_dart: int, *,
     doomed = _normalize_edge_set(m, star)
     if len(doomed) == m.n_darts:
         raise PreconditionError("deletion would empty the map")
-    out, dart_map = _restrict_to_darts(
-        m, doomed, new_root, may_vanish=frozenset({m.vertex_index[v_dart]}))
+    out, _ = _restrict_to_darts(
+        m, doomed, None, may_vanish=frozenset({m.vertex_index[v_dart]}))
     if out.n_faces != m.n_faces - deg + 1 or out.genus != m.genus:
         raise InternalCheckError("vertex deletion changed the surface")
-    return (out, dart_map) if return_dart_map else out
+    return out
 
 
 # -- diagnostics and random maps --------------------------------------------

@@ -18,11 +18,14 @@ from surfmaps import (
     enumerate_well_labeled_trees,
     is_embedded,
     is_well_labeled,
+    map_to_quad,
     open_rooted,
     open_rooted_pointed,
     predecessor,
+    quad_to_map,
 )
 from surfmaps.bijection import open as open_map
+from surfmaps.sampler import sample_embedded_tree
 
 
 @pytest.fixture
@@ -263,3 +266,89 @@ def test_torus_two_face_tree_is_figure_eight():
     assert t.labels == (1,)
     fig8 = RotationMap((0, 3, 4, 2, 1), (0, 2, 1, 4, 3))
     assert t.map.unrooted_key() == fig8.unrooted_key()
+
+
+# A uniform tree drawn with sample_embedded_tree(12, seed=2026), written
+# out so the pins below do not depend on the sampler.
+PINNED_TREE = LabeledMap(
+    RotationMap((0, 1, 3, 2, 5, 23, 7, 6, 9, 13, 11, 10, 12, 8, 15, 14, 17,
+                 21, 19, 18, 20, 16, 22, 4, 24),
+                (0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18,
+                 17, 20, 19, 22, 21, 24, 23)),
+    (1, 2, 2, 1, 1, 1, 1, 1, 1, 2, 3, 2, 1))
+
+
+class TestPinnedDartArrays:
+    """Exact dart numbering of the bijection's outputs, not only their
+    isomorphism class: `surfmaps close` prints these arrays."""
+
+    QUAD_SIGMA = (0, 25, 30, 11, 2, 9, 4, 7, 6, 5, 8, 23, 10, 21, 12, 42, 14,
+                  48, 16, 15, 18, 13, 20, 3, 22, 32, 24, 40, 26, 36, 28, 39,
+                  34, 35, 1, 33, 38, 31, 29, 37, 27, 45, 46, 43, 41, 44, 17,
+                  47, 19)
+    TREE_SIGMA = (0, 1, 21, 17, 5, 9, 7, 6, 8, 4, 11, 10, 13, 15, 23, 12, 16,
+                  3, 20, 19, 22, 2, 18, 14, 24)
+    TREE_LABELS = (1, 2, 1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 3)
+
+    @staticmethod
+    def paired(n_darts):
+        return (0,) + tuple(d + 1 if d % 2 else d - 1
+                            for d in range(1, n_darts + 1))
+
+    @pytest.mark.parametrize("sign,root", [(1, 30), (-1, 29)])
+    def test_close_then_open(self, sign, root):
+        pq = close_rooted_pointed(PINNED_TREE, sign)
+        assert (pq.quad.sigma, pq.quad.alpha, pq.quad.root) == (
+            self.QUAD_SIGMA, self.paired(48), root)
+        assert pq.basepoint == 1
+        t, s = open_rooted_pointed(pq.quad, pq.basepoint)
+        assert (t.map.sigma, t.map.alpha, t.map.root) == (
+            self.TREE_SIGMA, self.paired(24), 1)
+        assert t.labels == self.TREE_LABELS
+        assert s == sign
+
+
+@pytest.mark.parametrize("n", [2 ** 8, 2 ** 10, 2 ** 12])
+def test_large_planar_roundtrips(n):
+    t = sample_embedded_tree(n, seed=n + 1)
+    key = t.canonical_key()
+    for sign in (1, -1):
+        pq = close_rooted_pointed(t, sign)
+        back, s = open_rooted_pointed(pq.quad, pq.basepoint)
+        assert s == sign
+        assert back.canonical_key() == key
+    q = pq.quad
+    assert map_to_quad(quad_to_map(q)).canonical_key() == q.canonical_key()
+
+
+def _builds(monkeypatch, f, *args):
+    """Number of RotationMap constructions made by one call."""
+    calls = []
+    post_init = RotationMap.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        post_init(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(RotationMap, "__post_init__", counting)
+        f(*args)
+    return len(calls)
+
+
+def test_maps_built_per_call_do_not_grow_with_size(monkeypatch):
+    # each bijection step builds its result a fixed number of times,
+    # never once per drawn or erased edge
+    counts = {}
+    for n in (64, 512):
+        t = sample_embedded_tree(n, seed=n)
+        pq = close_rooted_pointed(t, 1)
+        m = quad_to_map(pq.quad)
+        counts[n] = [
+            _builds(monkeypatch, close_rooted_pointed, t, 1),
+            _builds(monkeypatch, open_rooted_pointed, pq.quad, pq.basepoint),
+            _builds(monkeypatch, quad_to_map, pq.quad),
+            _builds(monkeypatch, map_to_quad, m),
+        ]
+    assert counts[64] == counts[512]
+    assert max(counts[512]) <= 3

@@ -158,3 +158,17 @@ class TestCensusAgreement:
     def test_bad_variant(self):
         with pytest.raises(PreconditionError, match="variant"):
             enumerate_quadrangulations(1, 0, "unrooted")
+
+
+def test_pinned_dart_arrays_on_torus_map():
+    # exact dart numbering both ways on a genus-1 map with 4 edges
+    m = RotationMap((0, 7, 4, 2, 1, 8, 3, 6, 5), (0, 2, 1, 8, 6, 7, 4, 5, 3), 2)
+    assert m.genus == 1
+    q = map_to_quad(m)
+    assert (q.sigma, q.alpha, q.root) == (
+        (0, 9, 10, 15, 2, 13, 4, 3, 6, 11, 8, 7, 16, 5, 12, 1, 14),
+        (0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15), 1)
+    back = quad_to_map(q)
+    assert (back.sigma, back.alpha, back.root) == (
+        (0, 8, 3, 1, 5, 2, 7, 6, 4), (0, 2, 1, 4, 3, 6, 5, 8, 7), 2)
+    assert back.canonical_key() == m.canonical_key()

@@ -19,6 +19,7 @@ from surfmaps import (
     random_rotation_map,
     validate,
 )
+from surfmaps.rotmap import _restrict_to_darts
 
 # Hand-checked fixtures used throughout.
 
@@ -205,9 +206,8 @@ class TestDeletion:
     def test_delete_undoes_add(self):
         m = path_map()
         m2 = add_edge_in_face(m, 1, 4)
-        back, dmap = delete_edges(m2, [5], return_dart_map=True)
+        back = delete_edges(m2, [5])
         assert back == m
-        assert dmap == {d: d for d in range(1, 5)}
 
     def test_delete_rejects_bridge(self):
         m = path_map()
@@ -230,10 +230,15 @@ class TestDeletion:
 
     def test_dart_map_tracks_renumbering(self):
         m = digon()
-        out, dmap = delete_edges(m, [3], return_dart_map=True)
+        out, dmap = _restrict_to_darts(m, {3, 4}, None)
         assert set(dmap.keys()) == {1, 2}
         assert out.alpha[dmap[1]] == dmap[2]
         assert out.root == dmap[m.root]
+        # survivors keep their order; the star of a vanishing vertex goes
+        out, dmap = _restrict_to_darts(path_map(), {1, 2}, 3,
+                                       may_vanish=frozenset({0}))
+        assert dmap == {3: 1, 4: 2}
+        assert (out.sigma, out.alpha, out.root) == ((0, 1, 2), (0, 2, 1), 1)
 
     def test_root_deleted_without_replacement(self):
         m = digon()
