@@ -10,7 +10,12 @@ Closure rebuilds the quadrangulation from the labels alone: a new vertex
 is wired into every corner labeled 1, every other corner is joined to its
 predecessor (the first corner with the next smaller label along the face
 walk), and the tree edges are erased. Matching corners of the tree root
-recover the root of the quadrangulation, one arc per sign.
+recover the root of the quadrangulation, one arc per sign: closure picks
+the sign's arc as the root in its one restriction, so both signs build
+the map once.
+
+`PointedQuad` is where a quadrangulation and its basepoint are checked:
+opening takes one, closure returns one, and neither checks it again.
 
 Each step draws every new edge into one pair of dart arrays, builds the
 map once, checks it as a whole and erases the old darts in one
@@ -49,16 +54,22 @@ __all__ = ["PointedQuad", "OpeningResult", "open", "open_rooted",
 
 @dataclass(frozen=True)
 class PointedQuad:
-    """A bipartite quadrangulation with a marked vertex (by index)."""
+    """A bipartite quadrangulation with a marked vertex (by index).
+
+    Construction is the one place where the quadrangulation and its
+    basepoint are checked: opening takes a `PointedQuad` as it is, and
+    closure builds its result as one, with the root already on the arc
+    its sign picks.
+    """
 
     quad: RotationMap
     basepoint: int
 
     def __post_init__(self):
         check_quadrangulation(self.quad)
-        if not (0 <= self.basepoint < self.quad.n_vertices):
-            raise PreconditionError(
-                f"basepoint {self.basepoint} is out of range")
+        v0 = self.basepoint
+        if not isinstance(v0, int) or not (0 <= v0 < self.quad.n_vertices):
+            raise PreconditionError(f"basepoint {v0!r} is out of range")
 
     @property
     def basepoint_dart(self) -> int:
@@ -144,11 +155,8 @@ def _certify_orientation(q: RotationMap, qp: RotationMap, dist) -> None:
             "oriented cycle does not ring the basepoint")
 
 
-def _open_core(q: RotationMap, v0: int) -> tuple[LabeledMap, int]:
-    check_quadrangulation(q)
-    if not (0 <= v0 < q.n_vertices):
-        raise PreconditionError(f"basepoint {v0} is out of range")
-    v0_dart = q.vertices[v0][0]
+def _open_core(pq: PointedQuad) -> tuple[LabeledMap, int]:
+    q, v0_dart = pq.quad, pq.basepoint_dart
     dist = distance_labels(q, v0_dart)
     vi = q.vertex_index
 
@@ -192,14 +200,14 @@ def _open_core(q: RotationMap, v0: int) -> tuple[LabeledMap, int]:
 
 def open(pq: PointedQuad) -> LabeledMap:  # noqa: A001 - mirrors the operation name
     """Open a pointed quadrangulation into a well-labeled one-face map."""
-    lm, _ = _open_core(pq.quad, pq.basepoint)
+    lm, _ = _open_core(pq)
     return lm
 
 
 def open_rooted(q: RotationMap) -> LabeledMap:
     """Open with the basepoint at the root vertex; the result is rooted at
     the chord of the root face and its root label is 1."""
-    lm, sign = _open_core(q, q.vertex_index[q.root])
+    lm, sign = _open_core(PointedQuad(q, q.vertex_index[q.root]))
     if sign != 1 or lm.root_label != 1:
         raise InternalCheckError("root-vertex opening lost its orientation")
     return lm
@@ -208,18 +216,17 @@ def open_rooted(q: RotationMap) -> LabeledMap:
 def open_rooted_pointed(q: RotationMap, v0: int) -> OpeningResult:
     """Open with an arbitrary basepoint. The labels are translated so the
     root label is 1, and the sign records whether the root arc ascended."""
-    lm, sign = _open_core(q, v0)
+    lm, sign = _open_core(PointedQuad(q, v0))
     return OpeningResult(relabel_nu(lm), sign)
 
 
 # -- closure -----------------------------------------------------------------
 
 
-def _close_core(t: LabeledMap) -> tuple[RotationMap, int, int]:
-    """Rebuild the quadrangulation around a well-labeled one-face map.
-
-    Returns (quad rooted at the ascending root arc, basepoint index,
-    dart of the descending root arc).
+def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
+    """Rebuild the quadrangulation around a well-labeled one-face map,
+    pointed at the new vertex and rooted at the ascending root arc for
+    sign +1, the descending one for sign -1.
     """
     m = t.map
     if m.n_faces != 1:
@@ -268,24 +275,23 @@ def _close_core(t: LabeledMap) -> tuple[RotationMap, int, int]:
             or cur.genus != m.genus):
         raise InternalCheckError("closure chords changed the surface")
 
-    # both root recoveries read the rotation just before the tree root
+    # the root edge sits just before the tree root in its rotation;
+    # the sign picks which of its two arcs becomes the root
     before = sig.index(m.root)
-    root_plus = alf[before]
     quad, dmap = _restrict_to_darts(cur, set(range(1, n_darts0 + 1)),
-                                    root_plus)
+                                    alf[before] if sign == 1 else before)
     try:
-        check_quadrangulation(quad)
+        pq = PointedQuad(quad, quad.vertex_index[dmap[v0_dart]])
     except PreconditionError as exc:
         raise InternalCheckError(f"closure left a non-quadrangulation: {exc}")
     if quad.genus != m.genus:
         raise InternalCheckError("closure changed the genus")
-    return quad, quad.vertex_index[dmap[v0_dart]], dmap[before]
+    return pq
 
 
 def close(t: LabeledMap) -> PointedQuad:
     """Close a well-labeled one-face map into a pointed quadrangulation."""
-    quad, v0_idx, _ = _close_core(t)
-    return PointedQuad(quad, v0_idx)
+    return _close_core(t)
 
 
 def close_rooted(t: LabeledMap) -> RotationMap:
@@ -293,8 +299,7 @@ def close_rooted(t: LabeledMap) -> RotationMap:
     rooted at the basepoint, which is the root vertex."""
     if t.root_label != 1:
         raise PreconditionError("rooted closure needs root label 1")
-    quad, _, _ = _close_core(t)
-    return quad
+    return _close_core(t).quad
 
 
 def close_rooted_pointed(t: LabeledMap, sign: int) -> PointedQuad:
@@ -305,7 +310,4 @@ def close_rooted_pointed(t: LabeledMap, sign: int) -> PointedQuad:
         raise PreconditionError(
             "rooted pointed closure needs root label 1 and variations "
             "of at most 1")
-    quad, v0_idx, root_minus = _close_core(shift_min_1(t))
-    if sign == -1:
-        quad = quad.reroot(root_minus)
-    return PointedQuad(quad, v0_idx)
+    return _close_core(shift_min_1(t), sign)

@@ -271,7 +271,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(args.level, args.jobs)
+    report = run_verification(args.level)
     if args.format == "lines":
         for c in report.checks:
             status = "pass" if c.passed else "fail"
@@ -375,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("verify", _cmd_verify, "run the self-verification suite")
     p.add_argument("--level", choices=sorted(LEVELS), default="desk")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent checks")
     p.add_argument("--format", choices=("table", "lines"), default="table",
                    help="presentation of the report")
 

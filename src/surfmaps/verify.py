@@ -14,12 +14,9 @@ runner reports the failure verbatim.
 
 from __future__ import annotations
 
-import functools
-import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -368,18 +365,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _cpu_slots() -> int:
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _run_one(name: str, slack: float = 1.0) -> CheckResult:
-    # slack > 1 widens the allowance when checks share cores; the
-    # stated budget is only meaningful for a check running alone
+def _run_one(name: str) -> CheckResult:
     func, budget = next((f, b) for nm, f, b in _CHECKS if nm == name)
-    allowed = budget * slack
     start = time.perf_counter()
     try:
         detail = func()
@@ -388,36 +375,14 @@ def _run_one(name: str, slack: float = 1.0) -> CheckResult:
         detail = f"{type(exc).__name__}: {exc}"
         ok = False
     seconds = time.perf_counter() - start
-    if ok and seconds > allowed:
+    if ok and seconds > budget:
         ok = False
-        if slack == 1.0:
-            detail += f"; exceeded the {budget:.0f}s budget"
-        else:
-            detail += (f"; exceeded the {allowed:.0f}s allowance"
-                       f" ({budget:.0f}s budget, cores oversubscribed)")
+        detail += f"; exceeded the {budget:.0f}s budget"
     return CheckResult(name, ok, seconds, budget, detail)
 
 
-def run_verification(level: str = "desk", jobs: int = 1
-                     ) -> VerificationReport:
-    """Run the named level's checks, optionally across processes.
-
-    Parallel runs trade warm in-process caches for wall-clock overlap;
-    results come back in the declared order either way.  Budgets are
-    enforced at face value when checks run one at a time.  Concurrent
-    workers timeslice the available cores, so each allowance is scaled
-    by the oversubscription factor (workers per core, never below 1);
-    a machine with enough cores grants no extra slack.
-    """
-    names = check_names(level)
-    if jobs < 1:
-        raise PreconditionError("jobs must be >= 1")
-    if jobs == 1 or len(names) == 1:
-        results = [_run_one(nm) for nm in names]
-    else:
-        workers = min(jobs, len(names))
-        slack = max(1.0, workers / _cpu_slots())
-        runner = functools.partial(_run_one, slack=slack)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, names))
-    return VerificationReport(level, tuple(results))
+def run_verification(level: str = "desk") -> VerificationReport:
+    """Run the named level's checks one after another, in the declared
+    order, each against its budget at face value."""
+    return VerificationReport(
+        level, tuple(_run_one(nm) for nm in check_names(level)))

@@ -24,6 +24,7 @@ from surfmaps import (
     predecessor,
     quad_to_map,
 )
+from surfmaps import bijection
 from surfmaps.bijection import open as open_map
 from surfmaps.sampler import sample_embedded_tree
 
@@ -130,14 +131,28 @@ class TestClosureDeskExamples:
         assert pq.quad.pointed_key(pq.basepoint) == cycle_quad.pointed_key(0)
 
 
+# both entry points that take a quadrangulation with a basepoint
+POINTED_ENTRIES = (PointedQuad, open_rooted_pointed)
+
+
 class TestValidation:
     def test_pointed_quad_rejects_wrong_degrees(self, link):
-        with pytest.raises(PreconditionError, match="degree"):
-            PointedQuad(link, 0)
+        for make in POINTED_ENTRIES:
+            with pytest.raises(PreconditionError, match="degree"):
+                make(link, 0)
 
     def test_pointed_quad_rejects_bad_basepoint(self, path_quad):
+        for make in POINTED_ENTRIES:
+            for v0 in (3, -1):
+                with pytest.raises(PreconditionError, match="out of range"):
+                    make(path_quad, v0)
+
+    @pytest.mark.parametrize("v0", [1.0, "1"])
+    @pytest.mark.parametrize("make", POINTED_ENTRIES)
+    def test_pointed_quad_rejects_non_integer_basepoint(self, path_quad,
+                                                        make, v0):
         with pytest.raises(PreconditionError, match="out of range"):
-            PointedQuad(path_quad, 3)
+            make(path_quad, v0)
 
     def test_open_rooted_rejects_non_quad(self, link):
         with pytest.raises(PreconditionError):
@@ -346,9 +361,44 @@ def test_maps_built_per_call_do_not_grow_with_size(monkeypatch):
         m = quad_to_map(pq.quad)
         counts[n] = [
             _builds(monkeypatch, close_rooted_pointed, t, 1),
+            _builds(monkeypatch, close_rooted_pointed, t, -1),
             _builds(monkeypatch, open_rooted_pointed, pq.quad, pq.basepoint),
             _builds(monkeypatch, quad_to_map, pq.quad),
             _builds(monkeypatch, map_to_quad, m),
         ]
     assert counts[64] == counts[512]
     assert max(counts[512]) <= 3
+    # the sign only picks the root arc; it costs no extra build
+    assert counts[512][0] == counts[512][1]
+
+
+def test_each_result_is_checked_once(monkeypatch):
+    # PointedQuad is the one quadrangulation check: every closure result
+    # and every opening input passes it once, and a PointedQuad that was
+    # already built is not checked again
+    t = sample_embedded_tree(12, seed=3)
+    q = close_rooted_pointed(t, 1).quad
+    wl = open_rooted(q)
+    pq = close(wl)
+    check = bijection.check_quadrangulation
+    calls = {}
+    for name, f, args in (
+            ("close", close, (wl,)),
+            ("close_rooted", close_rooted, (wl,)),
+            ("close_rooted_pointed+", close_rooted_pointed, (t, 1)),
+            ("close_rooted_pointed-", close_rooted_pointed, (t, -1)),
+            ("open_rooted", open_rooted, (q,)),
+            ("open_rooted_pointed", open_rooted_pointed, (q, 1)),
+            ("open", open_map, (pq,))):
+        calls[name] = 0
+
+        def counting(m, name=name):
+            calls[name] += 1
+            return check(m)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(bijection, "check_quadrangulation", counting)
+            f(*args)
+    assert calls == {"close": 1, "close_rooted": 1,
+                     "close_rooted_pointed+": 1, "close_rooted_pointed-": 1,
+                     "open_rooted": 1, "open_rooted_pointed": 1, "open": 0}
