@@ -137,30 +137,50 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
 
     genus filters by vertex count; min_degree prunes any rotation cycle
     that closes below it, which is what makes degree-constrained runs
-    (cores and scheme shapes) tractable. No budget applies.
+    (cores and scheme shapes) tractable. With a genus, the other vertices
+    need min_degree darts each, so the search also prunes every rotation
+    chain, open or closed, longer than
+    n_darts - min_degree * (vertices - 1) (the max-degree prune). Both
+    prunes cut only dead branches: the output and its order are those of
+    the unpruned search filtered by degree. No budget applies.
     """
     if n_edges < 1:
         raise PreconditionError(f"need n_edges >= 1, got {n_edges}")
+    if min_degree < 1:
+        raise PreconditionError(f"need min_degree >= 1, got {min_degree}")
     n_darts = 2 * n_edges
     target_v = None
+    max_degree = n_darts
     if genus is not None:
         target_v = n_edges + 1 - 2 * genus
         if target_v < 1:
             return
+        max_degree = n_darts - min_degree * (target_v - 1)
     alf = [0] * (n_darts + 1)
+    # nxt is sigma where it is known; prv is its inverse. An unpaired dart
+    # ends an open rotation chain, and the dart after it starts one.
     nxt = [0] * (n_darts + 1)
+    prv = [0] * (n_darts + 1)
     out: list[RotationMap] = []
 
-    def closed_cycle(start: int) -> tuple[int, set[int]] | None:
-        seen = {start}
-        x = start
-        while True:
+    def chain(start: int, other: int) -> tuple[int, bool, bool]:
+        """Length of the rotation chain through start, whether it is a
+        closed cycle, and whether it passes through other."""
+        length = 1
+        met = False
+        x = nxt[start]
+        while x and x != start:
+            length += 1
+            met = met or x == other
             x = nxt[x]
-            if x == 0:
-                return None
-            if x == start:
-                return len(seen), seen
-            seen.add(x)
+        if x:
+            return length, True, met
+        x = prv[start]
+        while x:
+            length += 1
+            met = met or x == other
+            x = prv[x]
+        return length, False, met
 
     def rec(unpaired: int, closed: int, closed_darts: int) -> None:
         if unpaired == 0:
@@ -169,28 +189,26 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
             out.append(RotationMap(sigma, alpha))
             return
         d = next(x for x in range(1, n_darts + 1) if alf[x] == 0)
+        d1 = d % n_darts + 1
         for e in range(d + 1, n_darts + 1):
             if alf[e] != 0:
                 continue
+            e1 = e % n_darts + 1
             alf[d], alf[e] = e, d
-            nxt[d] = e % n_darts + 1
-            nxt[e] = d % n_darts + 1
+            nxt[d], nxt[e] = e1, d1
+            prv[e1], prv[d1] = d, e
             c2, cd2 = closed, closed_darts
             ok = True
-            hit = closed_cycle(d)
-            new_cycles = []
-            if hit is not None:
-                new_cycles.append(hit)
-            if hit is None or e not in hit[1]:
-                hit_e = closed_cycle(e)
-                if hit_e is not None:
-                    new_cycles.append(hit_e)
-            for length, _ in new_cycles:
-                if length < min_degree:
+            hit = chain(d, e)
+            # e lies on a second chain unless d's chain passes through it
+            chains = [hit] if hit[2] else [hit, chain(e, d)]
+            for length, is_cycle, _ in chains:
+                if length > max_degree or (is_cycle and length < min_degree):
                     ok = False
                     break
-                c2 += 1
-                cd2 += length
+                if is_cycle:
+                    c2 += 1
+                    cd2 += length
             if ok and target_v is not None:
                 # every open rotation chain ends at an unpaired dart, so
                 # unpaired-2 bounds how many vertex cycles can still form
@@ -203,6 +221,7 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
                 rec(unpaired - 2, c2, cd2)
             alf[d] = alf[e] = 0
             nxt[d] = nxt[e] = 0
+            prv[e1] = prv[d1] = 0
 
     rec(n_darts, 0, 0)
     yield from out

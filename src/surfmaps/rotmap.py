@@ -161,6 +161,12 @@ class RotationMap:
         return tuple((d, self.alpha[d]) for d in range(1, self.n_darts + 1)
                      if d < self.alpha[d])
 
+    @cached_property
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """The vertex indices of each edge's two darts, in edges order."""
+        vi = self.vertex_index
+        return tuple((vi[d], vi[e]) for d, e in self.edges)
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)

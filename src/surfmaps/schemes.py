@@ -89,6 +89,24 @@ class ReducedTree:
                 raise PreconditionError("second root is out of range")
 
 
+# Schemes are built shape by shape (every labeling of one shape, then the
+# next), so one slot runs the checks once per shape. A failing shape is
+# not cached and raises on every call.
+@lru_cache(maxsize=1)
+def _check_shape(shape: RotationMap) -> None:
+    """The conditions a scheme puts on its shape, labels aside."""
+    if shape.n_faces != 1:
+        raise PreconditionError("scheme shape must have one face")
+    if any(len(orb) < 3 for orb in shape.vertices):
+        raise PreconditionError("scheme shape has a vertex of degree < 3")
+    if shape.genus < 1:
+        raise PreconditionError("scheme shape must have positive genus")
+    # one face and min degree 3 force sum (deg-2) = 4g-2
+    total = sum(len(orb) - 2 for orb in shape.vertices)
+    if total != 4 * shape.genus - 2:
+        raise InternalCheckError("degree identity failed")
+
+
 @dataclass(frozen=True)
 class Scheme:
     """A rooted one-face map with all degrees >= 3, labeled by the
@@ -99,12 +117,7 @@ class Scheme:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.shape.n_faces != 1:
-            raise PreconditionError("scheme shape must have one face")
-        if any(len(orb) < 3 for orb in self.shape.vertices):
-            raise PreconditionError("scheme shape has a vertex of degree < 3")
-        if self.shape.genus < 1:
-            raise PreconditionError("scheme shape must have positive genus")
+        _check_shape(self.shape)
         q = self.shape.n_vertices
         if len(self.labels) != q:
             raise PreconditionError(
@@ -112,10 +125,6 @@ class Scheme:
         if set(self.labels) != set(range(max(self.labels) + 1)):
             raise PreconditionError(
                 "scheme labels must fill an interval starting at 0")
-        # one face and min degree 3 force sum (deg-2) = 4g-2
-        total = sum(len(orb) - 2 for orb in self.shape.vertices)
-        if total != 4 * self.shape.genus - 2:
-            raise InternalCheckError("degree identity failed")
 
     @property
     def k(self) -> int:
@@ -455,12 +464,12 @@ def _shapes(n_edges: int, genus: int) -> tuple[RotationMap, ...]:
     return tuple(iter_one_face_maps(n_edges, genus=genus, min_degree=3))
 
 
-def _interval_labelings(q: int):
+@lru_cache(maxsize=None)
+def _interval_labelings(q: int) -> tuple[tuple[int, ...], ...]:
     """All surjections of q vertices onto {0..p}, every p < q."""
-    for p in range(q):
-        for combo in itertools.product(range(p + 1), repeat=q):
-            if len(set(combo)) == p + 1:
-                yield combo
+    return tuple(combo for p in range(q)
+                 for combo in itertools.product(range(p + 1), repeat=q)
+                 if len(set(combo)) == p + 1)
 
 
 def iter_schemes(g: int):
@@ -509,17 +518,23 @@ class DProfile(NamedTuple):
 def d_profile(s: Scheme) -> DProfile:
     """Count, per level j in 1..p, the edges whose endpoint labels
     straddle j."""
-    vi = s.shape.vertex_index
-    p = s.p
+    labels = s.labels
+    p = max(labels)
+    # an edge from label lo to hi > lo straddles levels lo+1..hi: mark
+    # its ends and take prefix sums
+    marks = [0] * (p + 1)
     e_eq = 0
-    d_levels = [0] * p
-    for d, e in s.shape.edges:
-        a, b = s.labels[vi[d]], s.labels[vi[e]]
-        if a == b:
+    ends = s.shape.edge_ends
+    for a, b in ends:
+        lo, hi = labels[a], labels[b]
+        if lo < hi:
+            marks[lo] += 1
+            marks[hi] -= 1
+        elif lo > hi:
+            marks[hi] += 1
+            marks[lo] -= 1
+        else:
             e_eq += 1
-            continue
-        lo, hi = min(a, b), max(a, b)
-        for j in range(lo + 1, hi + 1):
-            d_levels[j - 1] += 1
-    k = s.shape.n_edges
-    return DProfile(k, p, e_eq, k - e_eq, tuple(d_levels), sum(d_levels))
+    d_levels = tuple(itertools.accumulate(marks[:p]))
+    k = len(ends)
+    return DProfile(k, p, e_eq, k - e_eq, d_levels, sum(d_levels))

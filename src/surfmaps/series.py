@@ -394,19 +394,6 @@ class LaurentPoly:
         return out * u.pow(self.offset) if self.offset else out
 
 
-# fixed factor family for scheme weight denominators
-_ONE_MINUS_U = LaurentPoly(0, (1, -1))
-_ONE_PLUS_U = LaurentPoly(0, (1, 1))
-_ONE_PLUS_2U = LaurentPoly(0, (1, 2))
-
-
-def _chain_poly(d: int) -> LaurentPoly:
-    """1 + U + ... + U^(d-1)."""
-    if d < 1:
-        raise InternalCheckError(f"chain factor needs d >= 1, got {d}")
-    return LaurentPoly(0, (1,) * d)
-
-
 @dataclass(frozen=True)
 class ULaurentRational:
     """Quotient of Laurent polynomials in U.
@@ -483,56 +470,91 @@ def u_symmetry_check(x: ULaurentRational) -> bool:
 # scheme weights and the genus series
 
 
+def _poly_mul(a, b) -> list:
+    """Product of coefficient lists, constant first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+# the factors of scheme weights, as integer coefficients, constant first;
+# ("C", d) stands for the chain factor 1 + U + ... + U^(d-1)
+_FACTORS = {"1-U": (1, -1), "1+U": (1, 1), "1+2U": (1, 2)}
+
+
+@lru_cache(maxsize=256)
+def _factor_pow(key, e: int) -> tuple[int, ...]:
+    """A weight factor to the power e, as integer coefficients."""
+    base = _FACTORS[key] if isinstance(key, str) else (1,) * key[1]
+    out = [1]
+    for _ in range(e):
+        out = _poly_mul(out, base)
+    return tuple(out)
+
+
 def _weight_parts(prof: DProfile):
-    """Numerator Laurent poly (without the 1/k prefactor) and denominator
-    factor multiset of the weight attached to a d-profile."""
-    num = (LaurentPoly(prof.d + prof.e_eq, (1,))
-           * _ONE_PLUS_2U.pow(prof.e_eq)
-           * _chain_poly(3).pow(prof.e_ne))
+    """The weight attached to a d-profile, without its 1/k prefactor:
+    the numerator as a power of U times integer coefficients (constant
+    first), and the denominator as a factor multiset."""
+    num = _poly_mul(_factor_pow("1+2U", prof.e_eq),
+                    _factor_pow(("C", 3), prof.e_ne))
     den: CounterT = Counter()
     den["1-U"] = prof.k + prof.p
     den["1+U"] = prof.k
     for dj in prof.d_levels:
         if dj >= 2:
             den["C", dj] += 1
-    return num, den
-
-
-def _den_factor(key) -> LaurentPoly:
-    if key == "1-U":
-        return _ONE_MINUS_U
-    if key == "1+U":
-        return _ONE_PLUS_U
-    return _chain_poly(key[1])
+    return prof.d + prof.e_eq, num, den
 
 
 def _assemble(terms) -> ULaurentRational:
-    """Sum of coefficient * num / product(den factors) over terms,
-    built on the least common denominator of the factor family."""
+    """Sum of coefficient * U^shift * num / product(den factors) over
+    (coefficient, shift, num, den) terms, built on the least common
+    denominator of the factor family.
+
+    The rational coefficients are cleared into one integer scale, and
+    the numerators of terms sharing a denominator are summed before the
+    missing factor powers multiply them, so everything up to the final
+    division by the scale is integer arithmetic.
+    """
     terms = list(terms)
+    scale = math.lcm(*(coef.denominator for coef, _, _, _ in terms))
     lcm: CounterT = Counter()
-    for _, _, den in terms:
+    groups: dict = {}
+    for coef, shift, num, den in terms:
         for key, mult in den.items():
             lcm[key] = max(lcm[key], mult)
-    total = LaurentPoly.zero()
-    for coef, num, den in terms:
-        part = num.scale(coef)
-        for key, mult in lcm.items():
-            extra = mult - den.get(key, 0)
+        acc = groups.setdefault(frozenset(den.items()), [])
+        acc.extend([0] * (shift + len(num) - len(acc)))
+        c = coef.numerator * (scale // coef.denominator)
+        for i, x in enumerate(num):
+            acc[shift + i] += c * x
+    total = []
+    for key, acc in groups.items():
+        den = dict(key)
+        for fac, mult in lcm.items():
+            extra = mult - den.get(fac, 0)
             if extra:
-                part = part * _den_factor(key).pow(extra)
-        total = total + part
-    full_den = LaurentPoly.one()
-    for key, mult in sorted(lcm.items(), key=repr):
-        full_den = full_den * _den_factor(key).pow(mult)
-    return ULaurentRational(total, full_den)
+                acc = _poly_mul(acc, _factor_pow(fac, extra))
+        total.extend([0] * (len(acc) - len(total)))
+        for i, x in enumerate(acc):
+            total[i] += x
+    full_den = [1]
+    for fac, mult in lcm.items():
+        full_den = _poly_mul(full_den, _factor_pow(fac, mult))
+    return ULaurentRational(
+        LaurentPoly(0, tuple(Fraction(x, scale) for x in total)),
+        LaurentPoly(0, tuple(full_den)))
 
 
 def weight(s: Scheme) -> ULaurentRational:
     """The rational weight in U carried by one scheme."""
     prof = d_profile(s)
-    num, den = _weight_parts(prof)
-    return _assemble([(Fraction(1, prof.k), num, den)])
+    return _assemble([(Fraction(1, prof.k), *_weight_parts(prof))])
 
 
 def weight_series(s: Scheme, N: int) -> TruncatedSeries:
@@ -553,11 +575,8 @@ def rhat_exact(g: int) -> ULaurentRational:
     """Sum of the weights of all schemes of genus g, as a rational
     function of U. Schemes sharing a d-profile share a weight, so the
     sum runs over profiles."""
-    terms = []
-    for prof, count in sorted(_profile_counts(g).items()):
-        num, den = _weight_parts(prof)
-        terms.append((Fraction(count, prof.k), num, den))
-    return _assemble(terms)
+    return _assemble((Fraction(count, prof.k), *_weight_parts(prof))
+                     for prof, count in _profile_counts(g).items())
 
 
 def rhat(g: int, N: int) -> TruncatedSeries:
@@ -592,16 +611,6 @@ def _sym_laurent_to_v(L: LaurentPoly) -> list:
             p_next = [shifted[i] - (p_prev[i] if i < len(p_prev) else 0)
                       for i in range(len(shifted))]
             p_prev, p_cur = p_cur, p_next
-    return out
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
     return out
 
 
@@ -706,17 +715,15 @@ def tau(g: int) -> Fraction:
     Genus bounds are delegated to the scheme layer: g < 1 is a
     precondition failure, large g trips the genus budget guard.
     """
+    levels: CounterT = Counter(d_profile(s).d_levels
+                               for s in dominant_schemes(g))
     total = Fraction(0)
-    for s in dominant_schemes(g):
-        prof = d_profile(s)
-        if len(prof.d_levels) != 4 * g - 3:
+    for d_levels, count in levels.items():
+        if len(d_levels) != 4 * g - 3:
             raise InternalCheckError(
-                f"dominant scheme has {len(prof.d_levels)} levels, "
+                f"dominant scheme has {len(d_levels)} levels, "
                 f"wanted {4 * g - 3}")
-        term = Fraction(1)
-        for dj in prof.d_levels:
-            term /= dj
-        total += term
+        total += Fraction(count, math.prod(d_levels))
     return total
 
 
@@ -759,8 +766,9 @@ class AsymptoticConstant:
 def asympt_constant(g: int) -> AsymptoticConstant:
     """Leading constant c_g in the n^((5g-3)/2) 12^n growth of rooted
     genus-g quadrangulation counts."""
+    t = tau(g)  # first, so the scheme layer judges the genus
     gamma_rat, gamma_half_pow = _gamma_half(Fraction(5 * g - 3, 2))
     rational = (Fraction(3 ** g)
                 / ((6 * g - 3) * 2 ** (11 * g - 7) * gamma_rat)
-                * tau(g))
+                * t)
     return AsymptoticConstant(rational, -gamma_half_pow)

@@ -1,5 +1,7 @@
 """Census generators against hand and formula oracles."""
 
+from functools import lru_cache
+
 import pytest
 
 from surfmaps import (
@@ -84,6 +86,61 @@ class TestOneFaceMaps:
     def test_each_exactly_once(self):
         maps = list(iter_one_face_maps(3))
         assert len({m.canonical_key() for m in maps}) == len(maps)
+
+    @pytest.mark.parametrize("genus,n", [(1, n) for n in range(1, 6)]
+                             + [(2, n) for n in range(4, 8)])
+    def test_pruned_stream_is_filtered_pairings(self, genus, n):
+        # the prunes cut dead branches only: same maps, same order
+        for min_degree in (1, 2, 3):
+            want = [(sigma, alpha) for sigma, alpha, degrees in _pairings(n)
+                    if len(degrees) == n + 1 - 2 * genus
+                    and min(degrees) >= min_degree]
+            got = [(m.sigma, m.alpha)
+                   for m in iter_one_face_maps(n, genus, min_degree)]
+            assert got == want
+
+    @pytest.mark.parametrize("min_degree", [0, -1])
+    def test_min_degree_must_be_positive(self, min_degree):
+        with pytest.raises(PreconditionError, match="min_degree"):
+            list(iter_one_face_maps(3, 1, min_degree))
+        with pytest.raises(PreconditionError, match="min_degree"):
+            list(iter_one_face_maps(3, min_degree=min_degree))
+
+
+@lru_cache(maxsize=None)
+def _pairings(n_edges):
+    """The unpruned one-face search: every edge pairing of the face walk
+    1..2n in the order the search visits them (the least unpaired dart
+    takes each free partner in turn), as (sigma, alpha, vertex degrees)
+    with sigma(d) = alpha(d) + 1 cyclically."""
+    n_darts = 2 * n_edges
+    alf = [0] * (n_darts + 1)
+    out = []
+
+    def rec():
+        d = next((x for x in range(1, n_darts + 1) if not alf[x]), None)
+        if d is None:
+            sigma = (0,) + tuple(a % n_darts + 1 for a in alf[1:])
+            seen = [False] * (n_darts + 1)
+            degrees = []
+            for x in range(1, n_darts + 1):
+                size = 0
+                while not seen[x]:
+                    seen[x] = True
+                    size += 1
+                    x = sigma[x]
+                if size:
+                    degrees.append(size)
+            out.append((sigma, tuple(alf), tuple(degrees)))
+            return
+        for e in range(d + 1, n_darts + 1):
+            if not alf[e]:
+                alf[d], alf[e] = e, d
+                rec()
+                alf[d] = alf[e] = 0
+
+    rec()
+    return tuple(out)
 
 
 class TestLabeledTrees:

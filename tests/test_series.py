@@ -1,11 +1,13 @@
 """Generating series, scheme weights, and asymptotic constants."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
 
+import surfmaps.series
 from surfmaps import BudgetError, InternalCheckError, PreconditionError, RotationMap
 from surfmaps.schemes import Scheme, dominant_schemes
 from surfmaps.series import (
@@ -15,6 +17,7 @@ from surfmaps.series import (
     ULaurentRational,
     _gamma_half,
     _poly_mul,
+    _profile_counts,
     asympt_constant,
     rhat,
     rhat_exact,
@@ -310,8 +313,9 @@ class TestConstants:
             tau(0)
         with pytest.raises(BudgetError):
             tau(3)
-        with pytest.raises(PreconditionError):
-            asympt_constant(0)
+        for g in (0, -1):
+            with pytest.raises(PreconditionError, match="genus 1"):
+                asympt_constant(g)
 
     def test_approx(self):
         c = asympt_constant(1)
@@ -337,6 +341,70 @@ class TestGenusTwo:
     def test_dominant_bookkeeping(self):
         for s in dominant_schemes(2)[:500]:
             assert s.k + s.p == 10 * 2 - 6
+
+    # Pinned from the Fraction assembly over per-edge d-profiles; the
+    # integer assembly must reproduce them bit for bit.
+    def test_rhat_pinned(self):
+        r = rhat_exact(2)
+        assert (r.num.offset, len(r.num.coeffs)) == (4, 58)
+        assert (r.den.offset, len(r.den.coeffs)) == (0, 66)
+        assert r.num.coeffs[:3] == (F(21, 4), F(3591, 20), F(52527, 20))
+        assert r.den.coeffs[:3] == (1, 7, 17)
+
+        def digest(coeffs):
+            text = ",".join(f"{c.numerator}/{c.denominator}" for c in coeffs)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(r.num.coeffs) == (
+            "5cc7f98000b4e37a7db5a566193bcc847745582eae1f8cc69bbd9382dd51cfc9")
+        assert digest(r.den.coeffs) == (
+            "831fe58ff38183476be37bf1867e240d9d570779e20694520c8cfba44258c621")
+
+    def test_profile_counts_pinned(self):
+        counts = _profile_counts(2)
+        items = sorted((tuple(p), c) for p, c in counts.items())
+        assert len(items) == 942 and sum(counts.values()) == 774564
+        assert items[0] == ((4, 0, 4, 0, (), 0), 21)
+        assert items[-1] == ((9, 5, 0, 9, (3, 6, 9, 6, 3), 27), 1728)
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == (
+            "2e325e1a260d9f3be1b0adc2581f56d8be12374b10ebcccacf46613fbe5831c8")
+
+
+class TestWorkCounts:
+    def test_scheme_streams_are_walked(self, monkeypatch):
+        """_profile_counts streams iter_schemes and tau takes
+        dominant_schemes, both calling d_profile per scheme through the
+        series module's names; the benchmark's traced runs count those
+        calls, so a shortcut around them must fail here first."""
+        S = surfmaps.series
+        seen = {"schemes": 0, "d_profile": 0, "dominant": []}
+        iter_schemes, d_profile = S.iter_schemes, S.d_profile
+        dominant = S.dominant_schemes
+
+        def counted_iter(g):
+            for s in iter_schemes(g):
+                seen["schemes"] += 1
+                yield s
+
+        def counted_d_profile(s):
+            seen["d_profile"] += 1
+            return d_profile(s)
+
+        def counted_dominant(g):
+            out = dominant(g)
+            seen["dominant"].append(len(out))
+            return out
+
+        monkeypatch.setattr(S, "iter_schemes", counted_iter)
+        monkeypatch.setattr(S, "d_profile", counted_d_profile)
+        monkeypatch.setattr(S, "dominant_schemes", counted_dominant)
+        S._profile_counts.cache_clear()
+        try:
+            S._profile_counts(1)
+            S.tau(1)
+        finally:
+            S._profile_counts.cache_clear()
+        assert seen == {"schemes": 4, "d_profile": 4 + 2, "dominant": [2]}
 
 
 class TestTrend:
