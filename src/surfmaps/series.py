@@ -1,11 +1,21 @@
 """Exact generating series for surface map enumeration.
 
-Two coefficient worlds live here. TruncatedSeries is a power series cut
-at a fixed order with Fraction coefficients, tagged by its variable (z
-for face-counted series, t for the Motzkin side). LaurentPoly and
-ULaurentRational form an exact algebra of rational functions in the
+Coefficients are plain lists, constant term first, and four kernels do
+all the arithmetic on them: the product kept through coefficient n
+(_poly_mul), the power (_poly_pow), Horner evaluation at a series with
+zero constant term (_horner) and series division (_poly_div). Integer
+inputs stay integer in each. TruncatedSeries (a power series cut at a
+fixed order, tagged z for face-counted series and t for the Motzkin
+side), LaurentPoly and ULaurentRational (rational functions of the
 Motzkin series U, where scheme weights have a closed product form and
-the genus series is assembled before any expansion.
+the genus series is assembled before any expansion) are Fraction
+wrappers over these kernels.
+
+series_Tg runs in integers: (T - 1)/3 and U(zT^2) have integer
+coefficients, the weight sum's denominator is an integer polynomial
+with constant term 1, and one integer scale clears its numerator, so
+the Horner evaluations and the division stay in ints and the result is
+divided by the scale once.
 
 Everything is exact. No float enters any computation; the only float
 ever produced is AsymptoticConstant.approx() for display.
@@ -17,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Counter as CounterT
 from collections import Counter
 
@@ -62,6 +73,64 @@ def _frac(x) -> Fraction:
     raise PreconditionError(f"coefficient {x!r} is not an exact rational")
 
 
+def _check_natural(x, what: str) -> None:
+    """The one gate on orders, powers, shifts, increments and genera."""
+    if not isinstance(x, int) or x < 0:
+        raise PreconditionError(f"{what} must be an integer >= 0, got {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# coefficient-list kernels
+
+
+def _poly_mul(a, b, n=None) -> list:
+    """Product of coefficient lists through coefficient n (by default
+    the whole product)."""
+    if n is None:
+        n = len(a) + len(b) - 2
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_pow(a, k: int, n=None) -> list:
+    """a^k by squaring, through coefficient n (by default the whole
+    power)."""
+    if n is None:
+        n = (len(a) - 1) * k
+    out = [1] + [0] * n
+    while k:
+        if k & 1:
+            out = _poly_mul(out, a, n)
+        k >>= 1
+        if k:
+            a = _poly_mul(a, a, n)
+    return out
+
+
+def _horner(p, u, n: int) -> list:
+    """p(u) through coefficient n, for u with zero constant term."""
+    out = [0] * (n + 1)
+    for c in reversed(p):
+        out = _poly_mul(out, u, n)
+        out[0] += c
+    return out
+
+
+def _poly_div(a, b, n: int) -> list:
+    """a / b through coefficient n, for b with nonzero constant term;
+    integer when a and b are and b starts with 1."""
+    out = []
+    for i in range(n + 1):
+        acc = a[i] - sum(map(mul, b[1:i + 1], reversed(out)))
+        out.append(acc if b[0] == 1 else Fraction(acc, b[0]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 
@@ -81,8 +150,7 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.var not in ("t", "z"):
             raise PreconditionError(f"unknown series variable {self.var!r}")
-        if self.order < 0:
-            raise PreconditionError("series order must be >= 0")
+        _check_natural(self.order, "series order")
         cs = tuple(_frac(c) for c in self.coeffs)
         if len(cs) != self.order + 1:
             raise PreconditionError(
@@ -91,23 +159,18 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, var: str, order: int) -> "TruncatedSeries":
-        return cls(var, order, (Fraction(0),) * (order + 1))
+        return cls.constant(var, order, 0)
 
     @classmethod
     def constant(cls, var: str, order: int, c) -> "TruncatedSeries":
-        return cls(var, order,
-                   (_frac(c),) + (Fraction(0),) * order)
+        _check_natural(order, "series order")
+        return cls(var, order, (c,) + (0,) * order)
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise PreconditionError(
                 f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise PreconditionError("cannot extend a truncated series")
-        return TruncatedSeries(self.var, order, self.coeffs[: order + 1])
 
     def _align(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
@@ -133,15 +196,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         n, a, b = self._align(other)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return TruncatedSeries(self.var, n, tuple(out))
+        return TruncatedSeries(self.var, n, _poly_mul(a, b, n))
 
     def scale(self, c) -> "TruncatedSeries":
         c = _frac(c)
@@ -150,37 +205,21 @@ class TruncatedSeries:
 
     def shift_up(self, k: int = 1) -> "TruncatedSeries":
         """Multiply by var^k."""
-        if k < 0:
-            raise PreconditionError("shift exponent must be >= 0")
+        _check_natural(k, "shift exponent")
         cs = (Fraction(0),) * k + self.coeffs
         return TruncatedSeries(self.var, self.order, cs[: self.order + 1])
 
     def pow(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise PreconditionError("series power must be >= 0")
-        out = TruncatedSeries.constant(self.var, self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        _check_natural(k, "series power")
+        return TruncatedSeries(
+            self.var, self.order, _poly_pow(self.coeffs, k, self.order))
 
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Divide by a series with invertible constant term."""
         n, a, b = self._align(other)
         if b[0] == 0:
             raise PreconditionError("division by a series with zero constant term")
-        inv0 = 1 / b[0]
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            acc = a[i]
-            for j in range(1, i + 1):
-                if b[j]:
-                    acc -= b[j] * out[i - j]
-            out[i] = acc * inv0
-        return TruncatedSeries(self.var, n, tuple(out))
+        return TruncatedSeries(self.var, n, _poly_div(a, b, n))
 
     def euler(self) -> "TruncatedSeries":
         """Apply x d/dx: multiply coefficient n by n."""
@@ -188,83 +227,65 @@ class TruncatedSeries:
             self.var, self.order,
             tuple(n * c for n, c in enumerate(self.coeffs)))
 
-    def valuation(self) -> int:
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return self.order + 1
-
 
 # ---------------------------------------------------------------------------
 # base series: T, U, B, M_i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def series_T(N: int) -> TruncatedSeries:
     """Embedded plane tree series: the power series root of T = 1 + 3zT^2.
 
     Coefficient n is 3^n C(2n, n)/(n+1).
     """
-    if N < 0:
-        raise PreconditionError("order must be >= 0")
+    _check_natural(N, "order")
     cs = tuple(Fraction(3 ** n * math.comb(2 * n, n), n + 1)
                for n in range(N + 1))
     return TruncatedSeries("z", N, cs)
 
 
-def _solve_quadratic_fixed(s: TruncatedSeries) -> TruncatedSeries:
-    """The power series V with V = s (1 + V + V^2), for s of valuation >= 1.
+def _solve_quadratic_fixed(s: list) -> list:
+    """The power series V with V = s (1 + V + V^2), for s with zero
+    constant term; integer when s is.
 
     Computes U(s) without composing truncated series term by term.
     """
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise InternalCheckError("substituted series must vanish at 0")
-    N = s.order
-    sc = s.coeffs
-    v = [Fraction(0)] * (N + 1)
-    w = [Fraction(0)] * (N + 1)  # w = 1 + V + V^2
-    w[0] = Fraction(1)
+    N = len(s) - 1
+    v = [0] * (N + 1)
+    w = [0] * (N + 1)  # w = 1 + V + V^2
+    w[0] = 1
     for n in range(1, N + 1):
         m = n - 1
         if m >= 1:
             sq = sum(v[a] * v[m - a] for a in range(1, m))
             w[m] = v[m] + sq
-        v[n] = sum(sc[i] * w[n - i] for i in range(1, n + 1) if sc[i])
+        v[n] = sum(s[i] * w[n - i] for i in range(1, n + 1) if s[i])
         # patch w at level n is deferred; only w[<n] was needed above
-    return TruncatedSeries(s.var, N, tuple(v))
+    return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def series_U(N: int) -> TruncatedSeries:
     """Motzkin series: the power series root of U = t (1 + U + U^2)."""
-    if N < 0:
-        raise PreconditionError("order must be >= 0")
-    t = TruncatedSeries("t", N, (0, 1)[: N + 1] + (0,) * max(0, N - 1))
-    return _solve_quadratic_fixed(t)
+    _check_natural(N, "order")
+    t = ([0, 1] + [0] * N)[: N + 1]
+    return TruncatedSeries("t", N, _solve_quadratic_fixed(t))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def series_B(N: int) -> TruncatedSeries:
-    """Bridge series: the power series root of B = t (1 + 2U)(1 + B)."""
-    if N < 0:
-        raise PreconditionError("order must be >= 0")
+    """Bridge series: the power series root of B = t (1 + 2U)(1 + B),
+    that is B = c / (1 - c) with c = t (1 + 2U)."""
     u = series_U(N).coeffs
-    # c = coefficients of t(1 + 2U)
-    c = [Fraction(0)] * (N + 1)
-    if N >= 1:
-        c[1] = Fraction(1)
-    for n in range(2, N + 1):
-        c[n] = 2 * u[n - 1]
-    b = [Fraction(0)] * (N + 1)
-    for n in range(1, N + 1):
-        b[n] = c[n] + sum(c[i] * b[n - i] for i in range(1, n) if c[i])
-    return TruncatedSeries("t", N, tuple(b))
+    c = ([0, 1] + [2 * x for x in u[1:N]])[: N + 1]
+    return TruncatedSeries("t", N, _poly_div(c, [1] + [-x for x in c[1:]], N))
 
 
 def series_M(i: int, N: int) -> TruncatedSeries:
     """Walks of total increment i: M_0 = B, M_i = (1 + B) U^i for i >= 1."""
-    if i < 0:
-        raise PreconditionError("increment must be >= 0")
+    _check_natural(i, "increment")
     B = series_B(N)
     if i == 0:
         return B
@@ -342,16 +363,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return LaurentPoly(self.offset + other.offset, tuple(out))
+        return LaurentPoly(self.offset + other.offset,
+                           _poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "LaurentPoly":
         c = _frac(c)
@@ -360,16 +373,8 @@ class LaurentPoly:
         return LaurentPoly(self.offset, tuple(c * x for x in self.coeffs))
 
     def pow(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise PreconditionError("Laurent power must be >= 0")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        _check_natural(k, "Laurent power")
+        return LaurentPoly(self.offset * k, _poly_pow(self.coeffs, k))
 
     def conj(self) -> "LaurentPoly":
         """Substitute U -> 1/U."""
@@ -379,19 +384,13 @@ class LaurentPoly:
 
     def eval_series(self, u: TruncatedSeries) -> TruncatedSeries:
         """Evaluate at a power series of valuation >= 1 (so offset >= 0)."""
-        if self.is_zero():
-            return TruncatedSeries.zero(u.var, u.order)
         if self.offset < 0:
             raise PreconditionError(
                 "cannot evaluate negative powers at a power series")
         if u.coeffs[0] != 0:
             raise PreconditionError("evaluation point must have valuation >= 1")
-        out = TruncatedSeries.constant(u.var, u.order, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            out = out * u
-            if c:
-                out = out + TruncatedSeries.constant(u.var, u.order, c)
-        return out * u.pow(self.offset) if self.offset else out
+        return TruncatedSeries(u.var, u.order, _horner(
+            (0,) * self.offset + self.coeffs, u.coeffs, u.order))
 
 
 @dataclass(frozen=True)
@@ -431,10 +430,6 @@ class ULaurentRational:
         object.__setattr__(self, "num", num.scale(scale))
         object.__setattr__(self, "den", den.scale(scale))
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "ULaurentRational":
-        return cls(p, LaurentPoly.one())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ULaurentRational):
             return NotImplemented
@@ -454,10 +449,7 @@ class ULaurentRational:
         return ULaurentRational(self.num.scale(c), self.den)
 
     def eval_series(self, u: TruncatedSeries) -> TruncatedSeries:
-        den = self.den.eval_series(u)
-        if den.coeffs[0] == 0:
-            raise PreconditionError(
-                "denominator vanishes at 0; series expansion undefined")
+        den = self.den.eval_series(u)  # checks u before the numerator does
         return self.num.eval_series(u).div(den)
 
 
@@ -470,17 +462,6 @@ def u_symmetry_check(x: ULaurentRational) -> bool:
 # scheme weights and the genus series
 
 
-def _poly_mul(a, b) -> list:
-    """Product of coefficient lists, constant first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 # the factors of scheme weights, as integer coefficients, constant first;
 # ("C", d) stands for the chain factor 1 + U + ... + U^(d-1)
 _FACTORS = {"1-U": (1, -1), "1+U": (1, 1), "1+2U": (1, 2)}
@@ -490,10 +471,7 @@ _FACTORS = {"1-U": (1, -1), "1+U": (1, 1), "1+2U": (1, 2)}
 def _factor_pow(key, e: int) -> tuple[int, ...]:
     """A weight factor to the power e, as integer coefficients."""
     base = _FACTORS[key] if isinstance(key, str) else (1,) * key[1]
-    out = [1]
-    for _ in range(e):
-        out = _poly_mul(out, base)
-    return tuple(out)
+    return tuple(_poly_pow(base, e))
 
 
 def _weight_parts(prof: DProfile):
@@ -581,7 +559,8 @@ def rhat_exact(g: int) -> ULaurentRational:
 
 def rhat(g: int, N: int) -> TruncatedSeries:
     """Genus-g scheme weight sum, expanded as a series in t."""
-    return rhat_exact(g).eval_series(series_U(N))
+    u = series_U(N)  # judges N before the weight sum is built
+    return rhat_exact(g).eval_series(u)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +596,12 @@ def _sym_laurent_to_v(L: LaurentPoly) -> list:
 def _v_poly_to_t(pv: list, D: int) -> list:
     """t^D * p((1-t)/t) as a polynomial in t, for deg p <= D."""
     out = [Fraction(0)] * (D + 1)
-    power = [Fraction(1)]  # runs through (1-t)^i
+    power = [1]  # runs through (1-t)^i
     for i, a in enumerate(pv):
         if a:
             for j, x in enumerate(power):
                 out[D - i + j] += a * x
-        power = _poly_mul(power, [Fraction(1), Fraction(-1)])
+        power = _poly_mul(power, [1, -1])
     return out
 
 
@@ -666,21 +645,23 @@ def series_Tg(g: int, N: int) -> TruncatedSeries:
     T_0 is the plane tree series T itself; for g >= 1 it is the Euler
     derivative z d/dz of the weight sum evaluated at t = zT^2.
     """
-    if g < 0:
-        raise PreconditionError("genus must be >= 0")
-    if N < 0:
-        raise PreconditionError("order must be >= 0")
+    _check_natural(g, "genus")
     if g == 0:
         return series_T(N)
-    T = series_T(N)
-    one = TruncatedSeries.constant("z", N, 1)
-    s = (T - one).scale(Fraction(1, 3))  # zT^2 = (T-1)/3
-    v = _solve_quadratic_fixed(s)        # U evaluated at zT^2
+    # zT^2 = (T-1)/3, and U evaluated there, have integer coefficients
+    v = _solve_quadratic_fixed(
+        [0] + [c.numerator // 3 for c in series_T(N).coeffs[1:]])
     r = rhat_exact(g)
-    den = r.den.eval_series(v)
-    if den.coeffs[0] == 0:
-        raise InternalCheckError("weight denominator vanished at z = 0")
-    return r.num.eval_series(v).div(den).euler()
+    den = _horner([c.numerator for c in r.den.coeffs], v, N)
+    if den[0] != 1:
+        raise InternalCheckError(
+            f"weight denominator is {den[0]} at z = 0, not 1")
+    scale = math.lcm(*(c.denominator for c in r.num.coeffs))
+    num = [0] * r.num.offset + [c.numerator * (scale // c.denominator)
+                                for c in r.num.coeffs]
+    x = _poly_div(_horner(num, v, N), den, N)
+    return TruncatedSeries(
+        "z", N, [Fraction(n * c, scale) for n, c in enumerate(x)])
 
 
 def series_Q_bullet(g: int, N: int) -> TruncatedSeries:

@@ -168,7 +168,8 @@ def _check_torus_forms() -> str:
 
 
 def _check_constants() -> str:
-    _require(tau(1) == Fraction(2, 3), f"tau(1) = {tau(1)}, expected 2/3")
+    t1 = tau(1)
+    _require(t1 == Fraction(2, 3), f"tau(1) = {t1}, expected 2/3")
     c1 = asympt_constant(1)
     _require((c1.rational, c1.pi_power) == (Fraction(1, 24), 0),
              f"genus 1 constant is {c1}, expected 1/24")
@@ -178,8 +179,8 @@ def _check_constants() -> str:
     shapes = {(s.shape.sigma, s.shape.alpha, s.shape.root) for s in doms}
     _require(len(shapes) == 105,
              f"{len(shapes)} dominant shapes, expected 105")
-    _require(tau(2) == Fraction(896, 9),
-             f"tau(2) = {tau(2)}, expected 896/9")
+    t2 = tau(2)
+    _require(t2 == Fraction(896, 9), f"tau(2) = {t2}, expected 896/9")
     c2 = asympt_constant(2)
     _require((c2.rational, c2.pi_power) == (Fraction(7, 4320), -1),
              f"genus 2 constant is {c2}, expected 7/4320 * pi^(-1/2)")

@@ -39,6 +39,12 @@ FIG8 = RotationMap((0, 3, 4, 2, 1), (0, 2, 1, 4, 3))
 THETA = RotationMap((0, 2, 3, 1, 5, 6, 4), (0, 4, 5, 6, 1, 2, 3))
 
 
+def digest(coeffs):
+    """SHA-256 of the coefficients written as numerator/denominator."""
+    text = ",".join(f"{c.numerator}/{c.denominator}" for c in coeffs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def count_walks(length, end, nonneg=False):
     """Brute-force {-1,0,1} walk count, the independent oracle."""
     total = 0
@@ -72,6 +78,9 @@ class TestTruncatedSeries:
         assert geom.coeffs == (1, 1, 1, 1, 1, 1)
         assert (one - t).pow(2).coeffs == (1, -2, 1, 0, 0, 0)
         assert geom * (one - t) == one
+        # a divisor whose constant term is not 1: 1 / ((1 - t)(2 - t))
+        assert geom.div(one.scale(2) - t).coeffs == (
+            F(1, 2), F(3, 4), F(7, 8), F(15, 16), F(31, 32), F(63, 64))
 
     def test_mixed_variables_rejected(self):
         a = TruncatedSeries("t", 2, (1, 0, 0))
@@ -92,6 +101,37 @@ class TestTruncatedSeries:
         t = TruncatedSeries("t", 2, (0, 1, 0))
         with pytest.raises(PreconditionError, match="constant term"):
             t.div(t)
+
+
+_ONE = TruncatedSeries.constant("t", 3, 1)
+
+
+class TestIntegerArguments:
+    """Orders, powers, shifts and increments must be ints; anything else
+    is a PreconditionError from one guard, not a bare TypeError."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: TruncatedSeries("t", 2.0, (1, 2, 3)),
+                     id="TruncatedSeries"),
+        pytest.param(lambda: TruncatedSeries.zero("t", 2.0), id="zero"),
+        pytest.param(lambda: TruncatedSeries.constant("t", 2.0, 1),
+                     id="constant"),
+        pytest.param(lambda: series_T(2.0), id="series_T"),
+        pytest.param(lambda: series_U(2.0), id="series_U"),
+        pytest.param(lambda: series_B(2.0), id="series_B"),
+        pytest.param(lambda: series_M(1, 2.0), id="series_M-order"),
+        pytest.param(lambda: series_M(1.5, 3), id="series_M-increment"),
+        pytest.param(lambda: series_Tg(1, 2.0), id="series_Tg"),
+        pytest.param(lambda: series_Q_bullet(1, 2.0), id="series_Q_bullet"),
+        pytest.param(lambda: series_Qg(1, 2.0), id="series_Qg"),
+        pytest.param(lambda: rhat(1, 2.0), id="rhat"),
+        pytest.param(lambda: _ONE.pow(1.5), id="pow"),
+        pytest.param(lambda: _ONE.shift_up(1.5), id="shift_up"),
+        pytest.param(lambda: LaurentPoly.one().pow(1.5), id="Laurent-pow"),
+    ])
+    def test_non_integer_rejected(self, call):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            call()
 
 
 class TestPlaneTreeSeries:
@@ -335,8 +375,12 @@ class TestGenusTwo:
         assert u_symmetry_check(rhat_exact(2))
 
     def test_rooted_count_matches_census(self):
-        q2 = series_Qg(2, 5)
+        q2 = series_Qg(2, 100)
         assert q2.coeffs[:5] == (0, 0, 0, 0, 21)
+        # pinned from the Fraction evaluation of the weight sum
+        assert all(type(c) is F for c in q2.coeffs)
+        assert digest(q2.coeffs) == (
+            "0ad908e8f6df6eaca5353573058ac4ce3111281971709304c95dca91ba96a509")
 
     def test_dominant_bookkeeping(self):
         for s in dominant_schemes(2)[:500]:
@@ -350,11 +394,6 @@ class TestGenusTwo:
         assert (r.den.offset, len(r.den.coeffs)) == (0, 66)
         assert r.num.coeffs[:3] == (F(21, 4), F(3591, 20), F(52527, 20))
         assert r.den.coeffs[:3] == (1, 7, 17)
-
-        def digest(coeffs):
-            text = ",".join(f"{c.numerator}/{c.denominator}" for c in coeffs)
-            return hashlib.sha256(text.encode()).hexdigest()
-
         assert digest(r.num.coeffs) == (
             "5cc7f98000b4e37a7db5a566193bcc847745582eae1f8cc69bbd9382dd51cfc9")
         assert digest(r.den.coeffs) == (
@@ -410,6 +449,10 @@ class TestWorkCounts:
 class TestTrend:
     def test_deviation_shrinks(self):
         q = series_Qg(1, 400)
+        # pinned from the Fraction evaluation of the weight sum
+        assert all(type(x) is F for x in q.coeffs)
+        assert digest(q.coeffs) == (
+            "608e511343c40bb71f5194ad83ce3d9c0d43d488a7761dbd6a6dd0724f2719db")
         c = F(1, 24)
         dev40 = abs(q.coeff(40) / F(12) ** 40 - c)
         dev400 = abs(q.coeff(400) / F(12) ** 400 - c)

@@ -1,13 +1,15 @@
 """Unit tests for the check runner itself.
 
 The real checks run in test_acceptance.py; here we only exercise the
-enforcement mechanics: budget overruns and verbatim failure reporting.
+enforcement mechanics (budget overruns and verbatim failure reporting)
+and count the scheme builds of the constants check.
 Budgets are shrunk by monkeypatching so no test has to wait out a real
 overrun.
 """
 
 import pytest
 
+import surfmaps.series
 import surfmaps.verify as verify
 from surfmaps import PreconditionError, check_names
 
@@ -52,3 +54,21 @@ class TestLevels:
 
     def test_smoke_is_a_desk_subset(self):
         assert set(check_names("smoke")) < set(check_names("desk"))
+
+
+class TestChecks:
+    def test_constants_build_each_scheme_list_once(self, monkeypatch):
+        """tau(1), asympt_constant(1), the genus-2 listing, tau(2) and
+        asympt_constant(2) each build the dominant schemes once; an
+        error message that called tau again would add builds."""
+        built = []
+        dominant = surfmaps.series.dominant_schemes
+
+        def counted(g):
+            built.append(g)
+            return dominant(g)
+
+        monkeypatch.setattr(surfmaps.series, "dominant_schemes", counted)
+        monkeypatch.setattr(verify, "dominant_schemes", counted)
+        verify._check_constants()
+        assert sorted(built) == [1, 1, 2, 2, 2]
