@@ -18,6 +18,12 @@ zero.  A corner is named by the dart it follows: the corner ``c`` is the
 sector between arc ``c`` and ``sigma[c]`` at their common origin, and it
 belongs to the face walk of ``alpha[c]``'s orbit.
 
+Constructing a RotationMap checks its arrays and derives its vertex and
+face orbits in one pass: the walk that collects the cycles of sigma is
+also the proof that sigma is a permutation, and the same walker run on
+phi gives the faces.  The orbits are stored on the map, not computed
+on first use.
+
 All surgery functions return new maps; RotationMap is immutable.  Their
 private primitives ``_draw_edge`` and ``_draw_star`` append darts to plain
 sigma/alpha lists in place, so a construction that draws many edges builds
@@ -29,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -42,23 +49,40 @@ from .errors import (
 Corner = int
 
 
-def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of a 1-indexed permutation, each starting at its least element,
-    sorted by that element."""
-    n = len(perm) - 1
-    seen = [False] * (n + 1)
-    out = []
+def _cycles(perm: Sequence[int], n: int,
+            name: str) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Cycles of ``perm`` on the darts 1..n, and each dart's cycle index.
+
+    Cycles start at their least element and come sorted by it; slot 0 of
+    the index holds 0.  The walk is also the proof that ``perm`` is a
+    permutation of 1..n: every image is checked to be an int in range,
+    and a walk from an unseen dart must close at its own start, because
+    reaching any other seen dart means that dart has two preimages.
+    Raises StructureError otherwise.
+    """
+    index: list = [None] * (n + 1)
+    index[0] = 0
+    cycles = []
     for start in range(1, n + 1):
-        if seen[start]:
+        if index[start] is not None:
             continue
-        cyc = []
+        i = len(cycles)
+        index[start] = i
+        cyc = [start]
         d = start
-        while not seen[d]:
-            seen[d] = True
-            cyc.append(d)
-            d = perm[d]
-        out.append(tuple(cyc))
-    return tuple(out)
+        while True:
+            e = perm[d]
+            if not (isinstance(e, int) and 0 < e <= n):
+                raise StructureError(f"{name}[{d}] = {e!r} is out of range")
+            if e == start:
+                break
+            if index[e] is not None:
+                raise StructureError(f"{name} is not injective at dart {d}")
+            index[e] = i
+            cyc.append(e)
+            d = e
+        cycles.append(tuple(cyc))
+    return tuple(cycles), tuple(index)
 
 
 def _check_permutation(perm: Sequence[int], n_darts: int, name: str) -> None:
@@ -77,7 +101,13 @@ def _check_permutation(perm: Sequence[int], n_darts: int, name: str) -> None:
 
 @dataclass(frozen=True)
 class RotationMap:
-    """An immutable connected rotation system with a root dart."""
+    """An immutable connected rotation system with a root dart.
+
+    Construction checks the dart arrays and derives the vertex and face
+    orbits in the same walks: ``phi``, ``vertices``, ``vertex_index``,
+    ``faces``, ``face_index`` and ``genus`` are plain attributes from
+    then on.  Equality and hashing see only ``(sigma, alpha, root)``.
+    """
 
     sigma: tuple[int, ...]
     alpha: tuple[int, ...]
@@ -86,74 +116,59 @@ class RotationMap:
     def __post_init__(self):
         sigma = tuple(self.sigma)
         alpha = tuple(self.alpha)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "alpha", alpha)
+        root = self.root
         n = len(sigma) - 1
         if n < 2 or n % 2 != 0:
             raise StructureError(f"dart count {n} is not a positive even number")
+        if len(alpha) != n + 1:
+            raise StructureError(
+                f"alpha has {len(alpha) - 1} entries, expected {n}")
         if sigma[0] != 0 or alpha[0] != 0:
             raise StructureError("slot 0 of sigma and alpha must hold 0")
-        _check_permutation(sigma, n, "sigma")
-        _check_permutation(alpha, n, "alpha")
+        vertices, vertex_index = _cycles(sigma, n, "sigma")
+        # a fixed-point-free involution is a permutation: no second check
         for d in range(1, n + 1):
-            if alpha[d] == d:
+            a = alpha[d]
+            if not (isinstance(a, int) and 0 < a <= n):
+                raise StructureError(f"alpha[{d}] = {a!r} is out of range")
+            if a == d:
                 raise StructureError(f"alpha fixes dart {d}")
-            if alpha[alpha[d]] != d:
+            if alpha[a] != d:
                 raise StructureError(f"alpha is not an involution at dart {d}")
-        if not (1 <= self.root <= n):
-            raise StructureError(f"root dart {self.root} is out of range")
-        # Connectivity under the group generated by sigma and alpha.
-        seen = [False] * (n + 1)
-        stack = [1]
-        seen[1] = True
-        count = 0
+        if not (isinstance(root, int) and 0 < root <= n):
+            raise StructureError(f"root dart {root!r} is not an int in 1..{n}")
+        # Connectivity: the vertices joined by alpha form one component.
+        reached = [False] * len(vertices)
+        reached[0] = True
+        stack = [0]
         while stack:
-            d = stack.pop()
-            count += 1
-            for e in (sigma[d], alpha[d]):
-                if not seen[e]:
-                    seen[e] = True
-                    stack.append(e)
-        if count != n:
-            bad = next(d for d in range(1, n + 1) if not seen[d])
+            for d in vertices[stack.pop()]:
+                w = vertex_index[alpha[d]]
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
+        if not all(reached):
+            bad = vertices[reached.index(False)][0]
             raise StructureError(
                 f"map is disconnected: dart {bad} unreachable from dart 1")
+        # phi[d] = sigma[alpha[d]], slot 0 included; a product of two
+        # permutations, so its walk cannot fail
+        phi = itemgetter(*alpha)(sigma)
+        faces, face_index = _cycles(phi, n, "phi")
+        chi = len(vertices) - n // 2 + len(faces)
+        if chi % 2 != 0 or chi > 2:
+            raise InternalCheckError(f"impossible Euler characteristic {chi}")
+        # frozen: write the instance dict directly, fields included
+        self.__dict__.update(
+            sigma=sigma, alpha=alpha, phi=phi, vertices=vertices,
+            vertex_index=vertex_index, faces=faces, face_index=face_index,
+            genus=(2 - chi) // 2)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def n_darts(self) -> int:
         return len(self.sigma) - 1
-
-    @cached_property
-    def phi(self) -> tuple[int, ...]:
-        """Face permutation d -> sigma[alpha[d]]."""
-        return (0,) + tuple(self.sigma[self.alpha[d]]
-                            for d in range(1, self.n_darts + 1))
-
-    @cached_property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        return _orbits(self.sigma)
-
-    @cached_property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        return _orbits(self.phi)
-
-    @cached_property
-    def vertex_index(self) -> tuple[int, ...]:
-        idx = [0] * (self.n_darts + 1)
-        for i, orb in enumerate(self.vertices):
-            for d in orb:
-                idx[d] = i
-        return tuple(idx)
-
-    @cached_property
-    def face_index(self) -> tuple[int, ...]:
-        idx = [0] * (self.n_darts + 1)
-        for i, orb in enumerate(self.faces):
-            for d in orb:
-                idx[d] = i
-        return tuple(idx)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -178,13 +193,6 @@ class RotationMap:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
-
-    @cached_property
-    def genus(self) -> int:
-        chi = self.n_vertices - self.n_edges + self.n_faces
-        if chi % 2 != 0 or chi > 2:
-            raise InternalCheckError(f"impossible Euler characteristic {chi}")
-        return (2 - chi) // 2
 
     def degree(self, d: int) -> int:
         """Degree of the vertex holding dart d."""

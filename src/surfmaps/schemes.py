@@ -90,11 +90,17 @@ class ReducedTree:
 
 
 # Schemes are built shape by shape (every labeling of one shape, then the
-# next), so one slot runs the checks once per shape. A failing shape is
-# not cached and raises on every call.
-@lru_cache(maxsize=1)
+# next), so remembering the last shape that passed runs the checks once
+# per shape. The match is by identity: hashing a shape walks its whole
+# sigma and alpha, and the slot's reference keeps the id from being
+# reused. A failing shape is not remembered and raises on every call.
+_last_good_shape: list[Optional[RotationMap]] = [None]
+
+
 def _check_shape(shape: RotationMap) -> None:
     """The conditions a scheme puts on its shape, labels aside."""
+    if shape is _last_good_shape[0]:
+        return
     if shape.n_faces != 1:
         raise PreconditionError("scheme shape must have one face")
     if any(len(orb) < 3 for orb in shape.vertices):
@@ -105,6 +111,7 @@ def _check_shape(shape: RotationMap) -> None:
     total = sum(len(orb) - 2 for orb in shape.vertices)
     if total != 4 * shape.genus - 2:
         raise InternalCheckError("degree identity failed")
+    _last_good_shape[0] = shape
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Core rotation-system machinery: structure, surgery, canonical forms."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,12 +12,14 @@ from surfmaps import (
     StructureError,
     add_edge_in_face,
     add_vertex_star,
+    close_rooted_pointed,
     corner_face,
     delete_edges,
     delete_vertex_star,
     face_corners,
     next_corner,
     random_rotation_map,
+    sample_embedded_tree,
     validate,
 )
 from surfmaps.rotmap import _restrict_to_darts
@@ -104,6 +107,114 @@ class TestStructure:
     def test_rejects_non_permutation(self):
         with pytest.raises(StructureError, match="sigma"):
             RotationMap((0, 1, 1, 2, 4), (0, 2, 1, 4, 3))
+
+
+# One case per StructureError branch of the constructor:
+# (sigma, alpha, root, words the message must hold).
+PATH_SIGMA, PATH_ALPHA = (0, 1, 3, 2, 4), (0, 2, 1, 4, 3)
+BAD_ARRAYS = {
+    "odd dart count": ((0, 2, 3, 1), (0, 2, 1, 3), 1, "dart count 3"),
+    "no darts": ((0,), (0,), 1, "dart count 0"),
+    "empty sigma": ((), (), 1, "dart count -1"),
+    "alpha too long": ((0, 2, 1), PATH_ALPHA, 1, "alpha has 4 entries"),
+    "alpha too short": (PATH_SIGMA, (0, 2, 1), 1, "alpha has 2 entries"),
+    "sigma slot 0": ((1, 2, 1), (0, 2, 1), 1, "slot 0"),
+    "alpha slot 0": ((0, 2, 1), (2, 2, 1), 1, "slot 0"),
+    "sigma entry 0": ((0, 0, 1), (0, 2, 1), 1, r"sigma\[1\] = 0 is out"),
+    "sigma entry too big": ((0, 1, 3), (0, 2, 1), 1, r"sigma\[2\] = 3 is out"),
+    "sigma entry negative": ((0, -1, 1), (0, 2, 1), 1, r"sigma\[1\] = -1"),
+    "sigma float": ((0, 2.0, 1), (0, 2, 1), 1, r"sigma\[1\] = 2.0"),
+    "sigma str": ((0, 2, "1"), (0, 2, 1), 1, r"sigma\[2\] = '1'"),
+    "sigma not injective": ((0, 1, 1, 2, 4), PATH_ALPHA, 1,
+                            "sigma is not injective"),
+    "sigma cycle into a cycle": ((0, 2, 3, 2, 4), PATH_ALPHA, 1,
+                                 "sigma is not injective at dart 3"),
+    "alpha entry 0": ((0, 2, 1), (0, 0, 1), 1, r"alpha\[1\] = 0 is out"),
+    "alpha entry too big": ((0, 2, 1), (0, 3, 1), 1, r"alpha\[1\] = 3 is out"),
+    "alpha float": ((0, 2, 1), (0, 2.0, 1), 1, r"alpha\[1\] = 2.0"),
+    "alpha str": ((0, 2, 1), (0, "2", 1), 1, r"alpha\[1\] = '2'"),
+    "alpha fixed point": ((0, 1, 2, 4, 3), (0, 1, 2, 4, 3), 1, "fixes dart 1"),
+    "alpha not involution": ((0, 2, 3, 4, 1), (0, 2, 3, 4, 1), 1,
+                             "not an involution at dart 1"),
+    "alpha not injective": ((0, 2, 3, 4, 1), (0, 2, 1, 2, 1), 1,
+                            "not an involution at dart 3"),
+    "disconnected": ((0, 2, 1, 4, 3), (0, 2, 1, 4, 3), 1,
+                     "disconnected: dart 3 unreachable"),
+    "root too big": (PATH_SIGMA, PATH_ALPHA, 5, "root dart 5"),
+    "root zero": (PATH_SIGMA, PATH_ALPHA, 0, "root dart 0"),
+    "root float": (PATH_SIGMA, PATH_ALPHA, 1.0, "root dart 1.0"),
+    "root str": (PATH_SIGMA, PATH_ALPHA, "1", "root dart '1'"),
+    "root None": (PATH_SIGMA, PATH_ALPHA, None, "root dart None"),
+}
+
+
+@pytest.mark.parametrize("sigma, alpha, root, words",
+                         list(BAD_ARRAYS.values()), ids=list(BAD_ARRAYS))
+def test_constructor_rejects(sigma, alpha, root, words):
+    with pytest.raises(StructureError, match=words):
+        RotationMap(sigma, alpha, root)
+
+
+@pytest.mark.parametrize("root", [5, 0, 1.0, "1", None])
+def test_constructor_agrees_with_validate_on_root(root):
+    assert not validate(PATH_SIGMA[1:], PATH_ALPHA[1:], root).root_ok
+    with pytest.raises(StructureError, match="root"):
+        RotationMap(PATH_SIGMA, PATH_ALPHA, root)
+
+
+def _orbits_by_sets(perm):
+    """Cycles of a 1-indexed permutation, least element first, sorted:
+    a reference written apart from the constructor's walker."""
+    left = set(range(1, len(perm)))
+    out = []
+    while left:
+        cyc = [min(left)]
+        while perm[cyc[-1]] != cyc[0]:
+            cyc.append(perm[cyc[-1]])
+        left.difference_update(cyc)
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def _index_of(orbits, n_darts):
+    where = {d: i for i, orb in enumerate(orbits) for d in orb}
+    return (0,) + tuple(where[d] for d in range(1, n_darts + 1))
+
+
+def _derived_maps():
+    for seed in range(4):
+        rng = random.Random(seed)
+        for n_edges in range(1, 9):
+            yield random_rotation_map(rng, n_edges)
+    for seed in (1, 2):
+        t = sample_embedded_tree(2 ** 10, seed=seed)
+        for sign in (1, -1):
+            yield close_rooted_pointed(t, sign).quad
+
+
+def test_derived_structure_matches_reference():
+    for m in _derived_maps():
+        n = m.n_darts
+        phi = (0,) + tuple(m.sigma[m.alpha[d]] for d in range(1, n + 1))
+        assert m.phi == phi
+        assert m.vertices == _orbits_by_sets(m.sigma)
+        assert m.faces == _orbits_by_sets(phi)
+        assert m.vertex_index == _index_of(m.vertices, n)
+        assert m.face_index == _index_of(m.faces, n)
+        assert m.n_vertices - m.n_edges + m.n_faces == 2 - 2 * m.genus
+        assert m.dual().dual() == m
+
+
+def test_equality_and_hash_ignore_derived_attributes():
+    assert [f.name for f in dataclasses.fields(RotationMap)] == [
+        "sigma", "alpha", "root"]
+    m = claw()
+    twin = RotationMap(list(m.sigma), list(m.alpha), m.root)
+    for name in ("phi", "vertices", "vertex_index", "faces", "face_index",
+                 "genus"):
+        object.__setattr__(twin, name, None)
+    assert twin == m and hash(twin) == hash(m)
+    assert twin != m.reroot(2)
 
 
 class TestDual:

@@ -198,9 +198,12 @@ class TestExtract:
 
 
 class TestSchemeType:
-    def test_needs_degree_three(self, fig8_subdivided):
-        with pytest.raises(PreconditionError, match="degree"):
-            Scheme(fig8_subdivided, (0, 0, 0))
+    def test_needs_degree_three(self, theta, fig8_subdivided):
+        # a failing shape raises on every call, also after a good one passed
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="degree"):
+                Scheme(fig8_subdivided, (0, 0, 0))
+            assert Scheme(theta, (0, 1)).shape is theta
 
     def test_needs_interval_labels(self, theta):
         with pytest.raises(PreconditionError, match="interval"):
