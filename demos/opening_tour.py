@@ -58,15 +58,11 @@ def main() -> None:
     # opening at another vertex needs the sign to stay invertible
     print("A pointed opening returns (tree, sign); the sign remembers")
     print("which of the two root arcs the closure should restore:\n")
-    def marked_class(q, v):
-        # rooted isomorphism class with one marked vertex
-        rho = q._canonical_perm()
-        return (*q.canonical_key(), min(rho[d] for d in q.vertices[v]))
-
     for v0 in range(path.n_vertices):
         tree, sign = open_rooted_pointed(path, v0)
         pq = close_rooted_pointed(tree, sign)
-        assert marked_class(pq.quad, pq.basepoint) == marked_class(path, v0)
+        assert (pq.quad.rooted_pointed_key(pq.basepoint)
+                == path.rooted_pointed_key(v0))
         print(f"  basepoint {v0}: labels {tree.labels}, sign {sign:+d}, "
               "closes back exactly")
     print()

@@ -25,13 +25,6 @@ from surfmaps import (
 )
 
 
-def class_key(pq):
-    # rooted pointed isomorphism class: rooted key + marked vertex
-    rho = pq.quad._canonical_perm()
-    return (*pq.quad.canonical_key(),
-            min(rho[d] for d in pq.quad.vertices[pq.basepoint]))
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=6000)
@@ -44,8 +37,10 @@ def main() -> None:
     counts: Counter = Counter()
     for _ in range(args.samples):
         res = sample_quadrangulation(1, rng)
-        check_quadrangulation(res.quad.quad)
-        counts[class_key(res.quad)] += 1
+        q, v0 = res.quad.quad, res.quad.basepoint
+        check_quadrangulation(q)
+        # rooted pointed isomorphism class: rooted key + marked vertex
+        counts[q.rooted_pointed_key(v0)] += 1
     assert len(counts) == 6
     for i, (_, c) in enumerate(sorted(counts.items())):
         bar = "#" * round(60 * c / args.samples)

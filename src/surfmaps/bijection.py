@@ -40,9 +40,11 @@ from .quad import check_quadrangulation
 from .rotmap import (
     Corner,
     RotationMap,
+    _check_index,
+    _cycles,
     _draw_edge,
+    _draw_star,
     _restrict_to_darts,
-    add_vertex_star,
     face_corners,
     next_corner,
 )
@@ -67,9 +69,8 @@ class PointedQuad:
 
     def __post_init__(self):
         check_quadrangulation(self.quad)
-        v0 = self.basepoint
-        if not isinstance(v0, int) or not (0 <= v0 < self.quad.n_vertices):
-            raise PreconditionError(f"basepoint {v0!r} is out of range")
+        _check_index("basepoint", self.basepoint, 0,
+                     self.quad.n_vertices - 1)
 
     @property
     def basepoint_dart(self) -> int:
@@ -85,8 +86,7 @@ def predecessor(t_prime: LabeledMap, c: Corner) -> Corner:
     """The corner a chord from c would attach to: the first corner with
     label one below c's, walking the face from c."""
     m = t_prime.map
-    if not (1 <= c <= m.n_darts):
-        raise PreconditionError(f"corner {c} is out of range")
+    _check_index("corner", c, 1, m.n_darts)
     want = t_prime.label_of(c) - 1
     if want < 0:
         raise PreconditionError("corner label must be at least 1")
@@ -237,19 +237,25 @@ def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
             "along every edge")
     n_darts0 = m.n_darts
 
-    walk = face_corners(m, m.root)
-    ones = [c for c in walk if t.label_of(c) == 1]
-    tp = add_vertex_star(m, ones)
+    # the label-1 star goes into the same dart lists as the chords; its
+    # corners come from the face walk, so they are distinct and in order
+    ones = [c for c in face_corners(m, m.root) if t.label_of(c) == 1]
+    sig, alf = list(m.sigma), list(m.alpha)
+    _draw_star(sig, alf, ones)
+    n_star = len(sig) - 1
     v0_dart = n_darts0 + 2
-    v0_idx = tp.n_vertices - 1
+    _, tvi = _cycles(sig, n_star, "sigma")
+    faces, _ = _cycles([sig[a] for a in alf], n_star, "phi")
+    # the star splits the one face at each of its corners
+    if len(faces) != len(ones):
+        raise InternalCheckError("star insertion changed the surface")
+    v0_idx = tvi[v0_dart]
     vlab = t.labels + (0,)
-    tvi = tp.vertex_index
 
-    sig, alf = list(tp.sigma), list(tp.alpha)
     # far dart of the latest chord that landed at each corner
     last = {}
-    for f in tp.faces:
-        corners = face_corners(tp, f[0])
+    for f in faces:
+        corners = [alf[x] for x in f]
         i0 = next(i for i, c in enumerate(corners) if tvi[c] == v0_idx)
         listing = corners[i0:] + corners[:i0]
         inner = listing[2:-1]
@@ -271,7 +277,7 @@ def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
             nearest[lab] = c
     cur = RotationMap(sig, alf, m.root)
     # each chord splits one face
-    if (cur.n_faces != tp.n_faces + (cur.n_darts - tp.n_darts) // 2
+    if (cur.n_faces != len(faces) + (cur.n_darts - n_star) // 2
             or cur.genus != m.genus):
         raise InternalCheckError("closure chords changed the surface")
 

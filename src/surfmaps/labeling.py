@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PreconditionError, StructureError
-from .rotmap import RotationMap
+from .errors import StructureError
+from .rotmap import RotationMap, _check_index
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,19 @@ class LabeledMap:
 
     def canonical_key(self) -> tuple:
         """Rooted isomorphism invariant including labels."""
-        perm = self.map._canonical_perm()
-        c = self.map.relabel(perm)
-        order = sorted(range(self.map.n_vertices),
-                       key=lambda i: min(perm[d]
-                                         for d in self.map.vertices[i]))
-        return (c.sigma, c.alpha, tuple(self.labels[i] for i in order))
+        return self._walk_key(self.map.root)
 
     def unrooted_key(self) -> tuple:
-        return min(LabeledMap(self.map.reroot(d), self.labels).canonical_key()
-                   for d in range(1, self.map.n_darts + 1))
+        return min(self._walk_key(d) for d in range(1, self.map.n_darts + 1))
+
+    def _walk_key(self, root: int) -> tuple:
+        """The map's canonical arrays from ``root`` and the labels in the
+        order in which the canonical walk first meets each vertex."""
+        m = self.map
+        rho, sig, alf = m._canonical_walk(root)
+        first = [min(rho[d] for d in orbit) for orbit in m.vertices]
+        return (sig, alf,
+                tuple(lab for _, lab in sorted(zip(first, self.labels))))
 
 
 def edge_variation(lm: LabeledMap, d: int) -> int:
@@ -67,8 +70,11 @@ def edge_variation(lm: LabeledMap, d: int) -> int:
 
 
 def has_small_variations(lm: LabeledMap) -> bool:
-    return all(abs(edge_variation(lm, d)) <= 1
-               for d in range(1, lm.map.n_darts + 1))
+    """Whether every edge changes the label by -1, 0 or +1."""
+    labels = lm.labels
+    lab = [labels[v] for v in lm.map.vertex_index]
+    return all(-1 <= lab[a] - lab[d] <= 1
+               for d, a in enumerate(lm.map.alpha))
 
 
 def is_embedded(lm: LabeledMap) -> bool:
@@ -92,8 +98,7 @@ def shift_min_1(lm: LabeledMap) -> LabeledMap:
 
 def distance_labels(m: RotationMap, v0_dart: int) -> tuple[int, ...]:
     """Graph distance of every vertex to the vertex holding v0_dart."""
-    if not (1 <= v0_dart <= m.n_darts):
-        raise PreconditionError(f"dart {v0_dart} is out of range")
+    _check_index("dart", v0_dart, 1, m.n_darts)
     dist = [-1] * m.n_vertices
     src = m.vertex_index[v0_dart]
     dist[src] = 0

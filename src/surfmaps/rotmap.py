@@ -85,6 +85,13 @@ def _cycles(perm: Sequence[int], n: int,
     return tuple(cycles), tuple(index)
 
 
+def _check_index(what: str, x, lo: int, hi: int) -> None:
+    """The guard for a dart, corner or vertex index passed in by a caller:
+    raise PreconditionError unless ``x`` is an int with lo <= x <= hi."""
+    if not (isinstance(x, int) and lo <= x <= hi):
+        raise PreconditionError(f"{what} {x!r} is out of range")
+
+
 def _check_permutation(perm: Sequence[int], n_darts: int, name: str) -> None:
     if len(perm) != n_darts + 1:
         raise StructureError(
@@ -201,8 +208,7 @@ class RotationMap:
     # -- elementary transforms --------------------------------------------
 
     def reroot(self, d: int) -> "RotationMap":
-        if not (1 <= d <= self.n_darts):
-            raise PreconditionError(f"dart {d} is out of range")
+        _check_index("dart", d, 1, self.n_darts)
         return RotationMap(self.sigma, self.alpha, d)
 
     def relabel(self, perm: Sequence[int]) -> "RotationMap":
@@ -222,34 +228,55 @@ class RotationMap:
 
     # -- canonical forms ---------------------------------------------------
 
-    def _canonical_perm(self) -> tuple[int, ...]:
-        """Breadth-first dart relabeling determined by the root."""
-        n = self.n_darts
-        rho = [0] * (n + 1)
-        order = [self.root]
-        rho[self.root] = 1
-        head = 0
-        while head < len(order):
-            d = order[head]
-            head += 1
-            for e in (self.sigma[d], self.alpha[d]):
-                if rho[e] == 0:
-                    rho[e] = len(order) + 1
-                    order.append(e)
-        return tuple(rho)
+    def _canonical_walk(self, root: int) -> tuple[list, tuple, tuple]:
+        """One breadth-first walk from ``root``, scanning sigma then alpha.
+
+        Returns ``(rho, sigma, alpha)``: ``rho`` numbers the darts in the
+        order the walk meets them, and the two tuples are the map's arrays
+        in that numbering.  The dart numbered i is processed i-th, and its
+        images are numbered by then, so canonical ``sigma[i]`` is
+        ``rho[sigma[d]]`` for that dart d; no relabeled map is built.
+        """
+        sigma, alpha = self.sigma, self.alpha
+        rho = [0] * len(sigma)
+        rho[root] = 1
+        order = [root]
+        sig = [0]
+        alf = [0]
+        # the loop also visits the darts appended while it runs
+        for d in order:
+            s = sigma[d]
+            if not rho[s]:
+                order.append(s)
+                rho[s] = len(order)
+            a = alpha[d]
+            if not rho[a]:
+                order.append(a)
+                rho[a] = len(order)
+            sig.append(rho[s])
+            alf.append(rho[a])
+        return rho, tuple(sig), tuple(alf)
 
     def canonical(self) -> "RotationMap":
-        return self.relabel(self._canonical_perm())
+        """The map renumbered by the walk from its root, rooted at 1."""
+        return self.relabel(self._canonical_walk(self.root)[0])
 
     def canonical_key(self) -> tuple:
         """Hashable invariant: equal keys iff equal as rooted maps."""
-        c = self.canonical()
-        return (c.sigma, c.alpha)
+        return self._canonical_walk(self.root)[1:]
 
     def unrooted_key(self) -> tuple:
         """Minimum of canonical_key over all rerootings."""
-        return min(self.reroot(d).canonical_key()
+        return min(self._canonical_walk(d)[1:]
                    for d in range(1, self.n_darts + 1))
+
+    def rooted_pointed_key(self, v_index: int) -> tuple:
+        """Isomorphism invariant of the rooted map with one marked vertex:
+        canonical_key followed by the least canonical dart number on the
+        vertex."""
+        _check_index("vertex index", v_index, 0, self.n_vertices - 1)
+        rho, sig, alf = self._canonical_walk(self.root)
+        return sig, alf, min(rho[x] for x in self.vertices[v_index])
 
     def pointed_key(self, v_index: int) -> tuple:
         """Isomorphism invariant of the unrooted map with one marked vertex.
@@ -257,15 +284,12 @@ class RotationMap:
         Two pairs (map, vertex) get the same key exactly when some
         isomorphism of the underlying unrooted maps matches the marks.
         """
-        if not (0 <= v_index < self.n_vertices):
-            raise PreconditionError(f"vertex index {v_index} is out of range")
+        _check_index("vertex index", v_index, 0, self.n_vertices - 1)
         orbit = self.vertices[v_index]
         best = None
         for d in range(1, self.n_darts + 1):
-            r = self.reroot(d)
-            rho = r._canonical_perm()
-            c = r.relabel(rho)
-            cand = (c.sigma, c.alpha, min(rho[x] for x in orbit))
+            rho, sig, alf = self._canonical_walk(d)
+            cand = (sig, alf, min(rho[x] for x in orbit))
             if best is None or cand < best:
                 best = cand
         return best
@@ -389,8 +413,7 @@ def _normalize_edge_set(m: RotationMap, edges: Iterable[int]) -> set[int]:
     """Expand an iterable of darts to the full dart set of their edges."""
     doomed: set[int] = set()
     for d in edges:
-        if not (1 <= d <= m.n_darts):
-            raise PreconditionError(f"dart {d} is out of range")
+        _check_index("dart", d, 1, m.n_darts)
         doomed.add(d)
         doomed.add(m.alpha[d])
     return doomed
@@ -483,8 +506,7 @@ def delete_vertex_star(m: RotationMap, v_dart: int) -> RotationMap:
     deletion a homeomorphism-safe operation: faces merge into one and the
     genus is preserved.  The root must survive; reroot first otherwise.
     """
-    if not (1 <= v_dart <= m.n_darts):
-        raise PreconditionError(f"dart {v_dart} is out of range")
+    _check_index("dart", v_dart, 1, m.n_darts)
     star = m.vertices[m.vertex_index[v_dart]]
     deg = len(star)
     incident_faces = []

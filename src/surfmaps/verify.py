@@ -284,11 +284,11 @@ def _check_sampler() -> str:
                  "sample is not a planar one-face quadrangulation")
         t, s = open_rooted_pointed(q, v0)
         _require(s == res.sign, "sample does not reopen with its sign")
-        key = q.canonical_key()
-        _require(close_rooted_pointed(t, s).quad.canonical_key() == key,
+        key = q.rooted_pointed_key(v0)
+        back = close_rooted_pointed(t, s)
+        _require(back.quad.rooted_pointed_key(back.basepoint) == key,
                  "sample does not round-trip through its tree")
-        rho = q._canonical_perm()
-        counts[(*key, min(rho[d] for d in q.vertices[v0]))] += 1
+        counts[key] += 1
     _require(len(counts) == 6,
              f"samples hit {len(counts)} classes, expected 6")
     _, p = stats.chisquare(sorted(counts.values()))

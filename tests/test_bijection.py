@@ -1,5 +1,6 @@
 """Opening and closure between pointed quadrangulations and labeled maps."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -23,6 +24,8 @@ from surfmaps import (
     open_rooted_pointed,
     predecessor,
     quad_to_map,
+    shift_min_1,
+    write_map_text,
 )
 from surfmaps import bijection
 from surfmaps.bijection import open as open_map
@@ -50,12 +53,6 @@ def link():
 @pytest.fixture
 def path3():
     return RotationMap((0, 1, 3, 2, 4), (0, 2, 1, 4, 3))
-
-
-def rooted_pointed_key(q, v):
-    """Rooted isomorphism invariant with a marked vertex."""
-    rho = q._canonical_perm()
-    return (*q.canonical_key(), min(rho[d] for d in q.vertices[v]))
 
 
 class TestPredecessor:
@@ -239,8 +236,8 @@ class TestRootedPointed:
             signs[s] += 1
             seen[(t.canonical_key(), s)] += 1
             back = close_rooted_pointed(t, s)
-            assert (rooted_pointed_key(back.quad, back.basepoint)
-                    == rooted_pointed_key(q, v))
+            assert (back.quad.rooted_pointed_key(back.basepoint)
+                    == q.rooted_pointed_key(v))
         assert signs[1] == signs[-1] == len(pairs) // 2
         assert {k for k, _ in seen} == emb_keys
         assert set(seen.values()) == {1}
@@ -336,40 +333,53 @@ def test_large_planar_roundtrips(n):
     assert map_to_quad(quad_to_map(q)).canonical_key() == q.canonical_key()
 
 
-def _builds(monkeypatch, f, *args):
-    """Number of RotationMap constructions made by one call."""
-    calls = []
-    post_init = RotationMap.__post_init__
-
-    def counting(self):
-        calls.append(1)
-        post_init(self)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(RotationMap, "__post_init__", counting)
-        f(*args)
-    return len(calls)
-
-
-def test_maps_built_per_call_do_not_grow_with_size(monkeypatch):
-    # each bijection step builds its result a fixed number of times,
-    # never once per drawn or erased edge
+def test_maps_built_per_call_do_not_grow_with_size(builds):
+    # each bijection step builds its chorded map and its restriction, never
+    # a map per drawn or erased edge; keys are read off one walk and build
+    # no map at all
     counts = {}
     for n in (64, 512):
         t = sample_embedded_tree(n, seed=n)
         pq = close_rooted_pointed(t, 1)
-        m = quad_to_map(pq.quad)
-        counts[n] = [
-            _builds(monkeypatch, close_rooted_pointed, t, 1),
-            _builds(monkeypatch, close_rooted_pointed, t, -1),
-            _builds(monkeypatch, open_rooted_pointed, pq.quad, pq.basepoint),
-            _builds(monkeypatch, quad_to_map, pq.quad),
-            _builds(monkeypatch, map_to_quad, m),
-        ]
-    assert counts[64] == counts[512]
-    assert max(counts[512]) <= 3
-    # the sign only picks the root arc; it costs no extra build
-    assert counts[512][0] == counts[512][1]
+        q, v0 = pq.quad, pq.basepoint
+        m = quad_to_map(q)
+        counts[n] = {
+            "close+": builds(close_rooted_pointed, t, 1),
+            "close-": builds(close_rooted_pointed, t, -1),
+            "close": builds(close, shift_min_1(t)),
+            "open": builds(open_rooted_pointed, q, v0),
+            "quad_to_map": builds(quad_to_map, q),
+            "map_to_quad": builds(map_to_quad, m),
+            "canonical_key": builds(q.canonical_key),
+            "labeled canonical_key": builds(t.canonical_key),
+            "unrooted_key": builds(q.unrooted_key),
+            "pointed_key": builds(q.pointed_key, v0),
+            "rooted_pointed_key": builds(q.rooted_pointed_key, v0),
+        }
+    assert counts[64] == counts[512] == {
+        "close+": 2, "close-": 2, "close": 2, "open": 2,
+        "quad_to_map": 2, "map_to_quad": 2,
+        "canonical_key": 0, "labeled canonical_key": 0, "unrooted_key": 0,
+        "pointed_key": 0, "rooted_pointed_key": 0}
+
+
+# SHA-256 over the text of close(t) and its basepoint, for every
+# well-labeled tree of the desk censuses in enumeration order: a pin on
+# the exact dart numbering of closures, which `surfmaps close` prints.
+DESK_CENSUSES = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (2, 1), (3, 1),
+                 (4, 1)]
+CLOSURE_DIGEST = ("bfc81a13c4e4f4c497077dcc095d6bbc"
+                  "f62459824d59ff51a65695aade664c90")
+
+
+def test_closure_texts_are_pinned():
+    h = hashlib.sha256()
+    for n, g in DESK_CENSUSES:
+        for t in enumerate_well_labeled_trees(n, g):
+            pq = close(t)
+            h.update(write_map_text(pq.quad).encode())
+            h.update(f"basepoint {pq.basepoint}\n".encode())
+    assert h.hexdigest() == CLOSURE_DIGEST
 
 
 def test_each_result_is_checked_once(monkeypatch):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
 from surfmaps import (
     InternalCheckError,
+    LabeledMap,
     PreconditionError,
     RotationMap,
     StructureError,
@@ -16,8 +18,12 @@ from surfmaps import (
     corner_face,
     delete_edges,
     delete_vertex_star,
+    distance_labels,
+    enumerate_quadrangulations,
+    enumerate_well_labeled_trees,
     face_corners,
     next_corner,
+    predecessor,
     random_rotation_map,
     sample_embedded_tree,
     validate,
@@ -409,6 +415,77 @@ class TestCanonical:
 
     def test_distinct_maps_distinct_keys(self):
         assert path_map().canonical_key() != claw().canonical_key()
+
+
+def _bfs_perm(m, root):
+    """Breadth-first dart numbering from root, sigma before alpha: the
+    numbering every key is defined by, written apart from the library."""
+    rho = {root: 1}
+    queue = deque([root])
+    while queue:
+        d = queue.popleft()
+        for e in (m.sigma[d], m.alpha[d]):
+            if e not in rho:
+                rho[e] = len(rho) + 1
+                queue.append(e)
+    return (0,) + tuple(rho[d] for d in range(1, m.n_darts + 1))
+
+
+def _assert_keys_match_relabel_reference(m, labels):
+    lm = LabeledMap(m, labels)
+    rooted = {}
+    for d in range(1, m.n_darts + 1):
+        perm = _bfs_perm(m, d)
+        c = m.reroot(d).relabel(perm)
+        first = [min(perm[x] for x in orb) for orb in m.vertices]
+        order = sorted(range(m.n_vertices), key=first.__getitem__)
+        rooted[d] = (c, first, tuple(labels[i] for i in order))
+    c, first, labs = rooted[m.root]
+    assert m.canonical() == c
+    assert m.canonical_key() == (c.sigma, c.alpha)
+    assert lm.canonical_key() == (c.sigma, c.alpha, labs)
+    assert m.unrooted_key() == min((c.sigma, c.alpha)
+                                   for c, _, _ in rooted.values())
+    assert lm.unrooted_key() == min((c.sigma, c.alpha, labs)
+                                    for c, _, labs in rooted.values())
+    for v in range(m.n_vertices):
+        assert m.rooted_pointed_key(v) == (c.sigma, c.alpha, first[v])
+        assert m.pointed_key(v) == min((c.sigma, c.alpha, first[v])
+                                       for c, first, _ in rooted.values())
+
+
+def test_walk_keys_match_relabel_reference():
+    rng = random.Random(11)
+    for _ in range(3):
+        for n_edges in range(1, 9):
+            m = random_rotation_map(rng, n_edges)
+            labels = tuple(rng.randint(0, 3) for _ in range(m.n_vertices))
+            _assert_keys_match_relabel_reference(m, labels)
+    for n, g in ((1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (3, 1)):
+        for q in enumerate_quadrangulations(n, g):
+            _assert_keys_match_relabel_reference(
+                q, tuple(range(q.n_vertices)))
+        for t in enumerate_well_labeled_trees(n, g):
+            _assert_keys_match_relabel_reference(t.map, t.labels)
+
+
+NON_INT_INDEX = {
+    "reroot-float": lambda m: m.reroot(1.0),
+    "reroot-str": lambda m: m.reroot("1"),
+    "pointed_key": lambda m: m.pointed_key(1.0),
+    "rooted_pointed_key": lambda m: m.rooted_pointed_key(1.0),
+    "distance_labels": lambda m: distance_labels(m, 1.0),
+    "predecessor": lambda m: predecessor(LabeledMap(m, (1, 2, 1)), 1.0),
+    "delete_edges": lambda m: delete_edges(m, [1.0]),
+    "delete_vertex_star": lambda m: delete_vertex_star(m, "2"),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_INT_INDEX.values()),
+                         ids=list(NON_INT_INDEX))
+def test_non_int_index_is_out_of_range(call):
+    with pytest.raises(PreconditionError, match="out of range"):
+        call(path_map())
 
 
 class TestValidate:
