@@ -42,33 +42,23 @@ def _resolve_rng(seed: Seed) -> random.Random:
     return random.Random(seed)
 
 
-def _random_contour(n: int, rng: random.Random) -> list:
-    """Uniform Dyck word of length 2n via the cycle lemma."""
-    steps = [1] * n + [-1] * (n + 1)
-    rng.shuffle(steps)
+def _tree_from_choices(word, steps) -> LabeledMap:
+    """The embedded plane tree of one choice tuple: any arrangement of n
+    up-steps (+1) and n+1 down-steps (-1), and n label variations in
+    {-1, 0, +1}, one per edge in contour order, root label 1.
+
+    The word is rotated to its unique cyclic shift whose proper prefixes
+    are nonnegative (the cycle lemma) and its first 2n steps are read as
+    the contour, so each tree comes from exactly 2n+1 words.
+    """
+    n = len(steps)
     best, pos, acc = 0, 0, 0
-    for j, s in enumerate(steps, start=1):
+    for j, s in enumerate(word, start=1):
         acc += s
         if acc < best:
             best, pos = acc, j
-    rotated = steps[pos:] + steps[:pos]
-    return rotated[:-1]
+    contour = word[pos:] + word[:pos - 1]
 
-
-def sample_embedded_tree(n: int, seed: Seed = None, genus: int = 0) -> LabeledMap:
-    """Uniform embedded one-face map with n edges: a uniform rooted
-    plane tree with independent uniform edge variations, root label 1.
-
-    genus >= 1 draws uniformly from the exhaustive census instead and
-    inherits its size budget.
-    """
-    if n < 1:
-        raise PreconditionError("need at least one edge")
-    rng = _resolve_rng(seed)
-    if genus != 0:
-        return rng.choice(enumerate_embedded_trees(n, genus))
-
-    contour = _random_contour(n, rng)
     orbits = [[] for _ in range(n + 1)]  # dart lists, parent dart first
     labels = [1] + [0] * n
     stack = [0]
@@ -80,7 +70,7 @@ def sample_embedded_tree(n: int, seed: Seed = None, genus: int = 0) -> LabeledMa
             next_vertex += 1
             orbits[v].append(2 * edge - 1)
             orbits[w].append(2 * edge)
-            labels[w] = labels[v] + rng.choice((-1, 0, 1))
+            labels[w] = labels[v] + steps[edge - 1]
             stack.append(w)
         else:
             stack.pop()
@@ -99,6 +89,31 @@ def sample_embedded_tree(n: int, seed: Seed = None, genus: int = 0) -> LabeledMa
     for mine, darts in enumerate(orbits):
         by_map_vertex[m.vertex_index[darts[0]]] = labels[mine]
     return LabeledMap(m, tuple(by_map_vertex))
+
+
+def sample_embedded_tree(n: int, seed: Seed = None, genus: int = 0) -> LabeledMap:
+    """Uniform embedded one-face map with n edges: a uniform rooted
+    plane tree with independent uniform edge variations, root label 1.
+
+    genus >= 1 draws uniformly from the exhaustive census instead and
+    inherits its size budget.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise PreconditionError(
+            f"need an integer number of edges >= 1, got {n!r}")
+    if not isinstance(genus, int):
+        raise PreconditionError(f"genus must be an integer, got {genus!r}")
+    rng = _resolve_rng(seed)
+    if genus != 0:
+        trees = enumerate_embedded_trees(n, genus)
+        if not trees:
+            raise PreconditionError(
+                f"no embedded one-face map has n={n} edges at genus {genus}")
+        return rng.choice(trees)
+
+    word = [1] * n + [-1] * (n + 1)
+    rng.shuffle(word)
+    return _tree_from_choices(word, [rng.choice((-1, 0, 1)) for _ in range(n)])
 
 
 class SampleResult(NamedTuple):
@@ -140,8 +155,9 @@ def distance_profile(n: int, samples: int, seed: Seed = None,
     """Sample labeled trees and summarize their label range. The labels
     of the closed quadrangulation are the distances to its basepoint,
     so this profiles distances without building the quadrangulations."""
-    if samples < 1:
-        raise PreconditionError("need at least one sample")
+    if not isinstance(samples, int) or samples < 1:
+        raise PreconditionError(
+            f"need an integer number of samples >= 1, got {samples!r}")
     rng = _resolve_rng(seed)
     max_sum = 0.0
     mean_sum = 0.0

@@ -145,9 +145,6 @@ class Scheme:
     def genus(self) -> int:
         return self.shape.genus
 
-    def as_labeled_map(self) -> LabeledMap:
-        return LabeledMap(self.shape, self.labels)
-
     def sort_key(self) -> tuple:
         return (self.k, self.shape.sigma, self.shape.alpha, self.labels)
 

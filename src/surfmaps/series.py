@@ -74,7 +74,7 @@ def _frac(x) -> Fraction:
 
 
 def _check_natural(x, what: str) -> None:
-    """The one gate on orders, powers, shifts, increments and genera."""
+    """The one gate on orders, powers, increments and genera."""
     if not isinstance(x, int) or x < 0:
         raise PreconditionError(f"{what} must be an integer >= 0, got {x!r}")
 
@@ -203,12 +203,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.var, self.order, tuple(c * x for x in self.coeffs))
 
-    def shift_up(self, k: int = 1) -> "TruncatedSeries":
-        """Multiply by var^k."""
-        _check_natural(k, "shift exponent")
-        cs = (Fraction(0),) * k + self.coeffs
-        return TruncatedSeries(self.var, self.order, cs[: self.order + 1])
-
     def pow(self, k: int) -> "TruncatedSeries":
         _check_natural(k, "series power")
         return TruncatedSeries(
@@ -220,12 +214,6 @@ class TruncatedSeries:
         if b[0] == 0:
             raise PreconditionError("division by a series with zero constant term")
         return TruncatedSeries(self.var, n, _poly_div(a, b, n))
-
-    def euler(self) -> "TruncatedSeries":
-        """Apply x d/dx: multiply coefficient n by n."""
-        return TruncatedSeries(
-            self.var, self.order,
-            tuple(n * c for n, c in enumerate(self.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ runner reports the failure verbatim.
 
 from __future__ import annotations
 
+import math
 import random
+import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +46,7 @@ from .rotmap import (
 )
 from .errors import PreconditionError
 from .sampler import distance_profile, sample_quadrangulation
-from .schemes import dominant_schemes, enumerate_schemes, iter_schemes
+from .schemes import _shapes, dominant_schemes, enumerate_schemes
 from .series import (
     TruncatedSeries,
     asympt_constant,
@@ -257,22 +259,56 @@ def _check_structural() -> str:
                  == m.unrooted_key(),
                  "unrooted key moved under rerooting")
 
+    # both laws read only the shape, so each shape is checked once
+    # rather than once per labeling
     checked = 0
     for g in (1, 2):
-        for s in iter_schemes(g):
-            degs = [len(orb) for orb in s.shape.vertices]
-            _require(sum(d - 2 for d in degs) == 4 * g - 2,
-                     f"degree law fails for a genus {g} scheme")
-            _require(2 * g <= s.shape.n_edges <= 6 * g - 3,
-                     f"edge bound fails for a genus {g} scheme")
-            checked += 1
+        for k in range(2 * g, 6 * g - 2):
+            for shape in _shapes(k, g):
+                degs = [len(orb) for orb in shape.vertices]
+                _require(sum(d - 2 for d in degs) == 4 * g - 2,
+                         f"degree law fails for a genus {g} scheme shape")
+                _require(2 * g <= shape.n_edges <= 6 * g - 3,
+                         f"edge bound fails for a genus {g} scheme shape")
+                checked += 1
     return (f"10000 surgeries, 300 dual/relabel/reroot probes, degree law "
-            f"on {checked} schemes")
+            f"on {checked} scheme shapes")
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer dof >= 1: the finite sums
+    of Abramowitz-Stegun 26.4.4 (odd dof) and 26.4.5 (even dof)."""
+    h = x / 2
+    # the summed terms are e^-h h^a / Gamma(a + 1), a = 0 or 1/2 upward
+    if dof % 2:
+        total, a = math.erfc(math.sqrt(h)), 0.5
+        term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
+    else:
+        total, a = 0.0, 0.0
+        term = math.exp(-h)
+    for _ in range(dof // 2):
+        total += term
+        a += 1
+        term *= h / a
+    return total
+
+
+def _chisquare_p(counts) -> float:
+    """p-value of Pearson's chi-square test of counts against equal
+    expected counts, with len(counts) - 1 degrees of freedom."""
+    k, total = len(counts), sum(counts)
+    # sum (c - e)^2 / e with e = total / k, exactly
+    stat = Fraction(k * sum(c * c for c in counts), total) - total
+    return _chi2_sf(float(stat), k - 1)
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x."""
+    return statistics.linear_regression(
+        [math.log(x) for x in xs], [math.log(y) for y in ys]).slope
 
 
 def _check_sampler() -> str:
-    from scipy import stats
-
     rng = random.Random(4)
     counts: Counter = Counter()
     n_samples = 100_000
@@ -291,15 +327,13 @@ def _check_sampler() -> str:
         counts[key] += 1
     _require(len(counts) == 6,
              f"samples hit {len(counts)} classes, expected 6")
-    _, p = stats.chisquare(sorted(counts.values()))
+    p = _chisquare_p(sorted(counts.values()))
     _require(p > 1e-3, f"uniformity rejected, chi-square p = {p:.2e}")
-
-    import numpy as np
 
     sizes = [2 ** k for k in range(8, 13)]
     means = [distance_profile(n, 48, seed=2024).mean_max_label
              for n in sizes]
-    slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
+    slope = _loglog_slope(sizes, means)
     _require(0.15 < slope < 0.35,
              f"radius growth exponent {slope:.3f} outside [0.15, 0.35]")
     return (f"{n_samples} samples uniform over 6 classes (p = {p:.3f}), "

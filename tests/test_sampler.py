@@ -1,10 +1,9 @@
 """Uniform sampling of labeled trees and pointed quadrangulations."""
 
-import math
+import itertools
 from collections import Counter
 
 import pytest
-from scipy import stats
 
 from surfmaps import (
     BudgetError,
@@ -12,6 +11,7 @@ from surfmaps import (
     check_quadrangulation,
     close_rooted_pointed,
     distance_labels,
+    enumerate_quadrangulations,
     is_embedded,
     open_rooted_pointed,
     shift_min_1,
@@ -19,10 +19,12 @@ from surfmaps import (
 from surfmaps.sampler import (
     DistanceProfile,
     SampleResult,
+    _tree_from_choices,
     distance_profile,
     sample_embedded_tree,
     sample_quadrangulation,
 )
+from surfmaps.verify import _chisquare_p, _loglog_slope
 
 
 class TestTreeSampler:
@@ -49,16 +51,14 @@ class TestTreeSampler:
             sample_embedded_tree(1, seed=i).canonical_key()
             for i in range(300))
         assert len(counts) == 3
-        _, p = stats.chisquare(sorted(counts.values()))
-        assert p > 0.01
+        assert _chisquare_p(sorted(counts.values())) > 0.01
 
     def test_two_edge_chi_square(self):
         counts = Counter(
             sample_embedded_tree(2, seed=i).canonical_key()
             for i in range(1800))
         assert len(counts) == 18
-        _, p = stats.chisquare(sorted(counts.values()))
-        assert p > 0.01
+        assert _chisquare_p(sorted(counts.values())) > 0.01
 
     def test_needs_an_edge(self):
         with pytest.raises(PreconditionError, match="edge"):
@@ -74,6 +74,47 @@ class TestTreeSampler:
     def test_genus_budget(self):
         with pytest.raises(BudgetError):
             sample_embedded_tree(9, seed=1, genus=1)
+
+
+class TestExactPushforward:
+    @pytest.mark.parametrize("n,classes", [(1, 6), (2, 36), (3, 270)])
+    def test_every_choice_tuple_once(self, n, classes):
+        """Closing every word, step tuple and sign hits each rooted
+        pointed quadrangulation exactly 2n+1 times: the sampler is
+        exactly uniform, not only statistically."""
+        counts = Counter()
+        for ups in itertools.combinations(range(2 * n + 1), n):
+            word = [1 if i in ups else -1 for i in range(2 * n + 1)]
+            for steps in itertools.product((-1, 0, 1), repeat=n):
+                t = _tree_from_choices(word, steps)
+                for sign in (1, -1):
+                    pq = close_rooted_pointed(t, sign)
+                    counts[pq.quad.rooted_pointed_key(pq.basepoint)] += 1
+        census = {q.rooted_pointed_key(v) for q, v in
+                  enumerate_quadrangulations(n, 0, "rooted_pointed")}
+        assert len(census) == classes
+        assert counts == dict.fromkeys(census, 2 * n + 1)
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: sample_quadrangulation(1, seed=1, genus=1),
+                 "n=1 .*genus 1", id="empty-census-g1"),
+    pytest.param(lambda: sample_quadrangulation(2, seed=1, genus=3),
+                 "n=2 .*genus 3", id="empty-census-g3"),
+    pytest.param(lambda: sample_embedded_tree(2, seed=1, genus=-1),
+                 "n=2 .*genus -1", id="negative-genus"),
+    pytest.param(lambda: sample_embedded_tree(2, seed=1, genus=1.5),
+                 "genus", id="float-genus"),
+    pytest.param(lambda: sample_embedded_tree(2.0, seed=1),
+                 "edges", id="float-edges"),
+    pytest.param(lambda: sample_quadrangulation(2.0, seed=1),
+                 "edges", id="float-faces"),
+    pytest.param(lambda: distance_profile(4, 2.5, seed=1),
+                 "samples", id="float-samples"),
+])
+def test_bad_sampler_input_rejected(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
 
 
 class TestQuadSampler:
@@ -93,8 +134,7 @@ class TestQuadSampler:
             pq = sample_quadrangulation(1, seed=i).quad
             counts[pq.quad.rooted_pointed_key(pq.basepoint)] += 1
         assert len(counts) == 6
-        _, p = stats.chisquare(sorted(counts.values()))
-        assert p > 0.01
+        assert _chisquare_p(sorted(counts.values())) > 0.01
 
     def test_roundtrip_through_opening(self):
         for i in range(25):
@@ -143,13 +183,10 @@ class TestDistanceProfile:
         assert large.mean_max_label > small.mean_max_label
 
     def test_loglog_slope(self):
-        import numpy as np
-
         sizes = [2 ** k for k in range(8, 13)]
         means = [distance_profile(n, 48, seed=2024).mean_max_label
                  for n in sizes]
-        slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
-        assert 0.15 < slope < 0.35
+        assert 0.15 < _loglog_slope(sizes, means) < 0.35
 
     def test_needs_samples(self):
         with pytest.raises(PreconditionError, match="sample"):

@@ -60,6 +60,11 @@ def count_walks(length, end, nonneg=False):
     return total
 
 
+def _var(var, order):
+    """The series var itself, truncated at the given order."""
+    return TruncatedSeries(var, order, (0, 1) + (0,) * (order - 1))
+
+
 class TestTruncatedSeries:
     def test_arithmetic(self):
         a = TruncatedSeries("t", 3, (1, 2, 0, 1))
@@ -68,8 +73,7 @@ class TestTruncatedSeries:
         assert (a - b).coeffs == (1, 1, -1, 1)
         assert (a * b).coeffs == (0, 1, 3, 2)
         assert a.scale(F(1, 2)).coeffs == (F(1, 2), 1, 0, F(1, 2))
-        assert a.euler().coeffs == (0, 2, 0, 3)
-        assert a.shift_up().coeffs == (0, 1, 2, 0)
+        assert (a * _var("t", 3)).coeffs == (0, 1, 2, 0)
 
     def test_div_and_pow(self):
         one = TruncatedSeries.constant("t", 5, 1)
@@ -107,7 +111,7 @@ _ONE = TruncatedSeries.constant("t", 3, 1)
 
 
 class TestIntegerArguments:
-    """Orders, powers, shifts and increments must be ints; anything else
+    """Orders, powers and increments must be ints; anything else
     is a PreconditionError from one guard, not a bare TypeError."""
 
     @pytest.mark.parametrize("call", [
@@ -126,7 +130,6 @@ class TestIntegerArguments:
         pytest.param(lambda: series_Qg(1, 2.0), id="series_Qg"),
         pytest.param(lambda: rhat(1, 2.0), id="rhat"),
         pytest.param(lambda: _ONE.pow(1.5), id="pow"),
-        pytest.param(lambda: _ONE.shift_up(1.5), id="shift_up"),
         pytest.param(lambda: LaurentPoly.one().pow(1.5), id="Laurent-pow"),
     ])
     def test_non_integer_rejected(self, call):
@@ -141,19 +144,21 @@ class TestPlaneTreeSeries:
     def test_defining_equation(self):
         T = series_T(12)
         one = TruncatedSeries.constant("z", 12, 1)
-        z = one.shift_up()
+        z = _var("z", 12)
         assert T == one + (z * T * T).scale(3)
 
     def test_euler_identity(self):
         # zT' = (T^2 - T)/(2 - T)
         T = series_T(12)
+        zT_prime = TruncatedSeries(
+            "z", 12, tuple(n * c for n, c in enumerate(T.coeffs)))
         two = TruncatedSeries.constant("z", 12, 2)
-        assert T.euler() * (two - T) == T * T - T
+        assert zT_prime * (two - T) == T * T - T
 
     def test_zT2_identity(self):
         T = series_T(12)
         one = TruncatedSeries.constant("z", 12, 1)
-        z = one.shift_up()
+        z = _var("z", 12)
         assert (z * T * T).scale(3) == T - one
 
 
@@ -169,7 +174,7 @@ class TestMotzkinFamily:
     def test_U_defining_equation(self):
         U = series_U(12)
         one = TruncatedSeries.constant("t", 12, 1)
-        t = one.shift_up()
+        t = _var("t", 12)
         assert U == t * (one + U + U * U)
 
     def test_B_coefficients(self):
@@ -184,7 +189,7 @@ class TestMotzkinFamily:
         B = series_B(12)
         U = series_U(12)
         one = TruncatedSeries.constant("t", 12, 1)
-        t = one.shift_up()
+        t = _var("t", 12)
         assert B == t * (one + U.scale(2)) * (one + B)
 
     def test_B_closed_form_in_U(self):
