@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .errors import InternalCheckError, PreconditionError
 from .labeling import (
     LabeledMap,
+    _restrict_labeled,
     distance_labels,
     is_embedded,
     is_well_labeled,
@@ -183,16 +184,12 @@ def _open_core(pq: PointedQuad) -> tuple[LabeledMap, int]:
     sign = 1 if e_hat == q.root else -1
     root_t = cur.sigma[q.alpha[e_hat]]
 
-    # erase the basepoint star and every other original edge at once
-    tree, dart_map = _restrict_to_darts(
-        cur, set(range(1, q.n_darts + 1)), root_t,
-        may_vanish=frozenset({cur.vertex_index[v0_dart]}))
-
-    # labels follow the vertices: chord darts never move between vertices
-    cvi = cur.vertex_index
-    inv = {new: old for old, new in dart_map.items()}
-    labels = tuple(dist[cvi[inv[orbit[0]]]] for orbit in tree.vertices)
-    lm = LabeledMap(tree, labels)
+    # erase the basepoint star and every other original edge at once; the
+    # chords add no vertex, so dist labels cur's vertices as it does q's
+    lm, _ = _restrict_labeled(
+        LabeledMap(cur, dist), range(q.n_darts + 1, cur.n_darts + 1),
+        root_t, frozenset({cur.vertex_index[v0_dart]}))
+    tree = lm.map
     if tree.n_faces != 1 or tree.genus != q.genus or not is_well_labeled(lm):
         raise InternalCheckError("opening left a malformed labeled map")
     return lm, sign
@@ -284,8 +281,9 @@ def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
     # the root edge sits just before the tree root in its rotation;
     # the sign picks which of its two arcs becomes the root
     before = sig.index(m.root)
-    quad, dmap = _restrict_to_darts(cur, set(range(1, n_darts0 + 1)),
-                                    alf[before] if sign == 1 else before)
+    quad, dmap = _restrict_to_darts(
+        cur, range(n_darts0 + 1, cur.n_darts + 1),
+        alf[before] if sign == 1 else before)
     try:
         pq = PointedQuad(quad, quad.vertex_index[dmap[v0_dart]])
     except PreconditionError as exc:

@@ -18,7 +18,7 @@ from .rotmap import RotationMap
 
 # Default caps on n (edges for maps and trees, faces for quadrangulations).
 # The environment variable below replaces the cap for every genus.
-DEFAULT_BUDGETS = {0: 5, 1: 4, 2: 3}
+DEFAULT_BUDGETS = {0: 5, 1: 4, 2: 4}
 MAX_N_ENV = "SURFMAPS_MAX_N"
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import StructureError
-from .rotmap import RotationMap, _check_index
+from .rotmap import RotationMap, _check_index, _restrict_to_darts
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,15 @@ class LabeledMap:
         first = [min(rho[d] for d in orbit) for orbit in m.vertices]
         return (sig, alf,
                 tuple(lab for _, lab in sorted(zip(first, self.labels))))
+
+
+def _restrict_labeled(t: LabeledMap, keep: Sequence[int],
+                      root: Optional[int], may_vanish: frozenset[int]):
+    """_restrict_to_darts on a labeled map: every surviving vertex keeps
+    its label. Returns (labeled map, kept dart -> new dart)."""
+    sub, dart_map = _restrict_to_darts(t.map, keep, root, may_vanish)
+    labels = tuple(t.label_of(keep[orb[0] - 1]) for orb in sub.vertices)
+    return LabeledMap(sub, labels), dart_map
 
 
 def edge_variation(lm: LabeledMap, d: int) -> int:

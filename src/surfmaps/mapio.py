@@ -23,14 +23,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import MapFormatError, StructureError
-from .rotmap import RotationMap
+from .rotmap import RotationMap, _relabeled_arrays
 
 
-def normalize_darts(m: RotationMap) -> tuple[RotationMap, tuple[int, ...]]:
-    """Rename darts so edge k uses darts 2k-1 and 2k, by first appearance.
-
-    Returns (map, perm) with perm the 1-indexed relabeling applied.
-    """
+def _normal_perm(m: RotationMap) -> tuple[int, ...]:
+    """The relabeling that gives edge k the darts 2k-1 and 2k, by first
+    appearance in ascending dart order."""
     n = m.n_darts
     perm = [0] * (n + 1)
     nxt = 1
@@ -39,21 +37,28 @@ def normalize_darts(m: RotationMap) -> tuple[RotationMap, tuple[int, ...]]:
             perm[d] = nxt
             perm[m.alpha[d]] = nxt + 1
             nxt += 2
-    perm_t = tuple(perm)
-    return m.relabel(perm_t), perm_t
+    return tuple(perm)
+
+
+def normalize_darts(m: RotationMap) -> tuple[RotationMap, tuple[int, ...]]:
+    """Rename darts so edge k uses darts 2k-1 and 2k, by first appearance.
+
+    Returns (map, perm) with perm the 1-indexed relabeling applied.
+    """
+    perm = _normal_perm(m)
+    return m.relabel(perm), perm
 
 
 def write_map_text(m: RotationMap,
                    labels: Optional[tuple[int, ...]] = None) -> str:
-    """Serialize a map, normalizing dart names first."""
-    norm, perm = normalize_darts(m)
+    """Serialize a map, normalizing dart names first; builds no map."""
+    perm = _normal_perm(m)
+    sig, alf = _relabeled_arrays(m, perm)
     lines = [
-        f"n_darts {norm.n_darts}",
-        "sigma " + " ".join(str(norm.sigma[d])
-                            for d in range(1, norm.n_darts + 1)),
-        "alpha " + " ".join(str(norm.alpha[d])
-                            for d in range(1, norm.n_darts + 1)),
-        f"root {norm.root}",
+        f"n_darts {m.n_darts}",
+        "sigma " + " ".join(map(str, sig[1:])),
+        "alpha " + " ".join(map(str, alf[1:])),
+        f"root {perm[m.root]}",
     ]
     if labels is not None:
         if len(labels) != m.n_vertices:

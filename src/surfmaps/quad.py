@@ -90,11 +90,11 @@ def quad_to_map(q: RotationMap) -> RotationMap:
         # degree 4 and alternating colors leave exactly two black corners
         _draw_edge(sig, alf, black[0], black[1])
     cur = RotationMap(sig, alf, q.root)
-    white = frozenset(cur.vertex_index[orbit[0]]
-                      for v, orbit in enumerate(q.vertices) if color[v] == 1)
+    # the diagonals add no vertex: cur's vertices are q's, in q's order
+    white = frozenset(v for v, c in enumerate(color) if c == 1)
     # every original edge has a white end, so erasing the white stars
     # erases all of them and leaves the diagonals
-    out, _ = _restrict_to_darts(cur, set(range(1, q.n_darts + 1)),
+    out, _ = _restrict_to_darts(cur, range(q.n_darts + 1, cur.n_darts + 1),
                                 sig.index(q.root), may_vanish=white)
     if out.n_faces != len(white) or out.genus != q.genus:
         raise InternalCheckError(

@@ -96,14 +96,18 @@ def _check_permutation(perm: Sequence[int], n_darts: int, name: str) -> None:
     if len(perm) != n_darts + 1:
         raise StructureError(
             f"{name} has {len(perm) - 1} entries, expected {n_darts}")
-    hit = [False] * (n_darts + 1)
-    for d in range(1, n_darts + 1):
-        img = perm[d]
-        if not isinstance(img, int) or not (1 <= img <= n_darts):
-            raise StructureError(f"{name}[{d}] = {img!r} is out of range")
-        if hit[img]:
-            raise StructureError(f"{name} is not injective at dart {d}")
-        hit[img] = True
+    _cycles(perm, n_darts, name)
+
+
+def _relabeled_arrays(m: RotationMap, perm: Sequence[int]):
+    """The sigma and alpha lists of ``m`` relabeled by ``perm``, unchecked."""
+    n = m.n_darts
+    sig = [0] * (n + 1)
+    alf = [0] * (n + 1)
+    for d in range(1, n + 1):
+        sig[perm[d]] = perm[m.sigma[d]]
+        alf[perm[d]] = perm[m.alpha[d]]
+    return sig, alf
 
 
 @dataclass(frozen=True)
@@ -213,14 +217,8 @@ class RotationMap:
 
     def relabel(self, perm: Sequence[int]) -> "RotationMap":
         """Apply a dart relabeling; perm is 1-indexed with dummy slot 0."""
-        n = self.n_darts
-        _check_permutation(perm, n, "relabeling")
-        sig = [0] * (n + 1)
-        alf = [0] * (n + 1)
-        for d in range(1, n + 1):
-            sig[perm[d]] = perm[self.sigma[d]]
-            alf[perm[d]] = perm[self.alpha[d]]
-        return RotationMap(tuple(sig), tuple(alf), perm[self.root])
+        _check_permutation(perm, self.n_darts, "relabeling")
+        return RotationMap(*_relabeled_arrays(self, perm), perm[self.root])
 
     def dual(self) -> "RotationMap":
         """Exchange vertices and faces; an exact involution."""
@@ -419,37 +417,38 @@ def _normalize_edge_set(m: RotationMap, edges: Iterable[int]) -> set[int]:
     return doomed
 
 
-def _restrict_to_darts(m: RotationMap, doomed: set[int],
+def _restrict_to_darts(m: RotationMap, keep: Sequence[int],
                        new_root: Optional[int],
                        may_vanish: frozenset[int] = frozenset()):
     """Shared tail of every deletion, and of the bijections that erase
-    old darts in one step: rebuild sigma on the surviving darts,
-    renumber them in ascending order, pick the root.
+    old darts in one step: rebuild sigma on the surviving darts ``keep``,
+    given in ascending order, and pick the root.  ``keep[i]`` is renamed
+    i + 1, so callers read old darts straight from ``keep``; the cost is
+    that of the kept darts and the erased ones sigma skips between them.
 
-    Returns (map, dart_map) where dart_map sends old surviving darts to
-    their new names.  Raises PreconditionError if a vertex outside
-    ``may_vanish`` (vertex indices) would lose all its darts, or when the
-    root cannot be placed.
+    Returns (map, dart_map) where dart_map sends kept darts to their new
+    names.  Raises PreconditionError if a vertex outside ``may_vanish``
+    (vertex indices) would lose all its darts, or when the root cannot be
+    placed; only that check walks every vertex, and only when some vertex
+    is not in ``may_vanish``.
     """
-    n = m.n_darts
-    survivors = [d for d in range(1, n + 1) if d not in doomed]
-    if not survivors:
+    if not keep:
         raise PreconditionError("deletion would empty the map")
-    alive = set(m.vertex_index[d] for d in survivors)
-    for d in doomed:
-        v = m.vertex_index[d]
-        if v not in alive and v not in may_vanish:
-            raise PreconditionError(
-                f"deletion would isolate the vertex holding dart {d}")
-    dart_map = {d: i + 1 for i, d in enumerate(survivors)}
-    sig = [0] * (len(survivors) + 1)
-    alf = [0] * (len(survivors) + 1)
-    for d in survivors:
-        e = m.sigma[d]
-        while e in doomed:
-            e = m.sigma[e]
-        sig[dart_map[d]] = dart_map[e]
-        alf[dart_map[d]] = dart_map[m.alpha[d]]
+    dart_map = {d: i for i, d in enumerate(keep, 1)}
+    if len(may_vanish) < m.n_vertices:
+        alive = {m.vertex_index[d] for d in keep}
+        for v, orb in enumerate(m.vertices):
+            if v not in alive and v not in may_vanish:
+                raise PreconditionError(
+                    f"deletion would isolate the vertex holding dart {orb[0]}")
+    sigma, alpha = m.sigma, m.alpha
+    sig, alf = [0], [0]
+    for d in keep:
+        e = sigma[d]
+        while e not in dart_map:
+            e = sigma[e]
+        sig.append(dart_map[e])
+        alf.append(dart_map[alpha[d]])
     if new_root is not None:
         if new_root not in dart_map:
             raise PreconditionError(f"requested root {new_root} is deleted")
@@ -492,7 +491,8 @@ def delete_edges(m: RotationMap, edges: Iterable[int], *,
                 "deleting it would change the surface")
         parent[fa] = fb
 
-    out, _ = _restrict_to_darts(m, doomed, new_root)
+    out, _ = _restrict_to_darts(
+        m, [d for d in range(1, m.n_darts + 1) if d not in doomed], new_root)
     if out.n_faces != m.n_faces - n_deleted or out.genus != m.genus:
         raise InternalCheckError("edge deletion changed the surface")
     return out
@@ -519,10 +519,9 @@ def delete_vertex_star(m: RotationMap, v_dart: int) -> RotationMap:
         raise PreconditionError(
             f"vertex of dart {v_dart} meets some face more than once")
     doomed = _normalize_edge_set(m, star)
-    if len(doomed) == m.n_darts:
-        raise PreconditionError("deletion would empty the map")
     out, _ = _restrict_to_darts(
-        m, doomed, None, may_vanish=frozenset({m.vertex_index[v_dart]}))
+        m, [d for d in range(1, m.n_darts + 1) if d not in doomed], None,
+        may_vanish=frozenset({m.vertex_index[v_dart]}))
     if out.n_faces != m.n_faces - deg + 1 or out.genus != m.genus:
         raise InternalCheckError("vertex deletion changed the surface")
     return out

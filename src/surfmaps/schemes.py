@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional
 
 from .census import iter_one_face_maps
 from .errors import BudgetError, InternalCheckError, PreconditionError
-from .labeling import LabeledMap
-from .rotmap import RotationMap, face_corners, _restrict_to_darts
+from .labeling import LabeledMap, _restrict_labeled
+from .rotmap import RotationMap, face_corners
 
 __all__ = ["ReducedTree", "Scheme", "MotzkinWalk", "SchemeDecomposition",
            "DProfile", "reduce", "graft", "extract_scheme", "rebuild",
@@ -221,18 +221,6 @@ def _pendant_subtree(m: RotationMap, seeds: list[int]) -> list[int]:
     return result
 
 
-def _restrict_labeled(t: LabeledMap, doomed: set[int], root: int,
-                      may_vanish: frozenset[int]):
-    """_restrict_to_darts on a labeled map: every surviving vertex keeps
-    its label. Returns (labeled map, old dart -> new dart)."""
-    m = t.map
-    sub, dart_map = _restrict_to_darts(m, doomed, root, may_vanish)
-    inv = {v: k for k, v in dart_map.items()}
-    labels = tuple(t.labels[m.vertex_index[inv[orb[0]]]]
-                   for orb in sub.vertices)
-    return LabeledMap(sub, labels), dart_map
-
-
 def reduce(t: LabeledMap) -> ReducedTree:
     """Prune degree-1 vertices until none remain, remembering what hung
     where. Needs one face and positive genus."""
@@ -286,9 +274,8 @@ def reduce(t: LabeledMap) -> ReducedTree:
         else:
             raise InternalCheckError("root fell outside every corner")
 
-    doomed = {d for d in range(1, m.n_darts + 1) if not alive[d]}
-    core, dmap = _restrict_labeled(t, doomed, root_core, frozenset(dead_v))
-    inv = {v: k for k, v in dmap.items()}
+    kept = [d for d in range(1, m.n_darts + 1) if alive[d]]
+    core, _ = _restrict_labeled(t, kept, root_core, frozenset(dead_v))
 
     cs = face_corners(core.map, core.map.root)
     i0 = cs.index(core.map.root)
@@ -296,16 +283,14 @@ def reduce(t: LabeledMap) -> ReducedTree:
     attachments: list[Optional[LabeledMap]] = []
     second_root = None
     # an attachment keeps only its pendant darts, so any vertex may vanish
-    all_darts = set(range(1, m.n_darts + 1))
     all_vertices = frozenset(range(m.n_vertices))
     for y in order:
-        run = runs[inv[y]]
+        run = runs[kept[y - 1]]
         if not run:
             attachments.append(None)
             continue
         att, ren = _restrict_labeled(
-            t, all_darts.difference(_pendant_subtree(m, run)), run[0],
-            all_vertices)
+            t, sorted(_pendant_subtree(m, run)), run[0], all_vertices)
         attachments.append(att)
         if second_old is not None and second_old in ren:
             second_root = ren[second_old]
@@ -412,8 +397,7 @@ def extract_scheme(r: ReducedTree) -> SchemeDecomposition:
         x = m.alpha[sigma_inv[x]]
     shape = RotationMap(tuple(sig), tuple(alf), ren[x])
 
-    inv = {v: k for k, v in ren.items()}
-    raw = [labels[vi[inv[orb[0]]]] for orb in shape.vertices]
+    raw = [labels[vi[bdarts[orb[0] - 1]]] for orb in shape.vertices]
     vals = sorted(set(raw))
     shape_labels = tuple(vals.index(x) for x in raw)
     values = tuple(v - vals[0] for v in vals[1:])

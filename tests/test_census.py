@@ -9,6 +9,7 @@ from surfmaps import (
     PreconditionError,
     enumerate_embedded_trees,
     enumerate_g_trees,
+    enumerate_quadrangulations,
     enumerate_rooted_maps,
     enumerate_well_labeled_trees,
     iter_one_face_maps,
@@ -188,7 +189,16 @@ class TestBudgets:
         with pytest.raises(BudgetError):
             enumerate_g_trees(5, 1)
         with pytest.raises(BudgetError):
-            enumerate_well_labeled_trees(4, 2)
+            enumerate_well_labeled_trees(5, 2)
+
+    def test_genus_two_budget_reaches_its_first_size(self):
+        # the smallest genus-2 map has 4 edges; every census at that size
+        # holds 21 objects, the t^4 coefficient of Q_2 pinned in
+        # test_series (computing it here would build rhat_exact(2))
+        for census in (enumerate_rooted_maps, enumerate_g_trees,
+                       enumerate_well_labeled_trees,
+                       enumerate_quadrangulations):
+            assert len(census(4, 2)) == 21, census.__name__
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SURFMAPS_MAX_N", "2")

@@ -24,6 +24,13 @@ def test_write_parse_roundtrip_exact():
     assert write_map_text(m2) == text
 
 
+def test_write_builds_no_map(builds):
+    m = random_rotation_map(random.Random(5), 40)
+    labels = tuple(range(m.n_vertices))
+    assert builds(write_map_text, m) == 0
+    assert builds(write_map_text, m, labels) == 0
+
+
 def test_roundtrip_random_maps():
     rng = random.Random(23)
     for _ in range(100):

@@ -347,12 +347,12 @@ class TestDeletion:
 
     def test_dart_map_tracks_renumbering(self):
         m = digon()
-        out, dmap = _restrict_to_darts(m, {3, 4}, None)
+        out, dmap = _restrict_to_darts(m, [1, 2], None)
         assert set(dmap.keys()) == {1, 2}
         assert out.alpha[dmap[1]] == dmap[2]
         assert out.root == dmap[m.root]
         # survivors keep their order; the star of a vanishing vertex goes
-        out, dmap = _restrict_to_darts(path_map(), {1, 2}, 3,
+        out, dmap = _restrict_to_darts(path_map(), [3, 4], 3,
                                        may_vanish=frozenset({0}))
         assert dmap == {3: 1, 4: 2}
         assert (out.sigma, out.alpha, out.root) == ((0, 1, 2), (0, 2, 1), 1)
@@ -415,6 +415,15 @@ class TestCanonical:
 
     def test_distinct_maps_distinct_keys(self):
         assert path_map().canonical_key() != claw().canonical_key()
+
+    @pytest.mark.parametrize("perm,words", [
+        ((0, 2, 1, 4), "3 entries, expected 4"),
+        ((0, 2, 1, 5, 3), "out of range"),
+        ((0, 2, 1, 4, 2), "not injective"),
+    ], ids=["short", "out-of-range", "repeated"])
+    def test_relabel_rejects_non_permutation(self, perm, words):
+        with pytest.raises(StructureError, match=words):
+            path_map().relabel(perm)
 
 
 def _bfs_perm(m, root):

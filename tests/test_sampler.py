@@ -75,6 +75,12 @@ class TestTreeSampler:
         with pytest.raises(BudgetError):
             sample_embedded_tree(9, seed=1, genus=1)
 
+    def test_genus_two_within_budget(self):
+        res = sample_quadrangulation(4, seed=0, genus=2)
+        q = res.quad.quad
+        assert (q.genus, q.n_faces) == (2, 4)
+        check_quadrangulation(q)
+
 
 class TestExactPushforward:
     @pytest.mark.parametrize("n,classes", [(1, 6), (2, 36), (3, 270)])
