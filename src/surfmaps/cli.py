@@ -15,6 +15,7 @@ as estimates.  Exit status: 0 on success, 1 when verification fails,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
@@ -272,7 +273,16 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verification(args.level)
-    if args.format == "lines":
+    if args.format == "json":
+        print(json.dumps({
+            "level": report.level,
+            "passed": report.passed,
+            "checks": [{"name": c.name, "passed": c.passed,
+                        "seconds": c.seconds, "budget": c.budget,
+                        "margin": c.budget - c.seconds, "detail": c.detail}
+                       for c in report.checks],
+        }, indent=2))
+    elif args.format == "lines":
         for c in report.checks:
             status = "pass" if c.passed else "fail"
             print(f"{c.name} {status} {c.seconds:.2f}")
@@ -375,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("verify", _cmd_verify, "run the self-verification suite")
     p.add_argument("--level", choices=sorted(LEVELS), default="desk")
-    p.add_argument("--format", choices=("table", "lines"), default="table",
+    p.add_argument("--format", choices=("table", "lines", "json"),
+                   default="table",
                    help="presentation of the report")
 
     return parser

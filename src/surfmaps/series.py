@@ -1,21 +1,23 @@
 """Exact generating series for surface map enumeration.
 
-Coefficients are plain lists, constant term first, and four kernels do
+Coefficients are plain lists, constant term first, and five kernels do
 all the arithmetic on them: the product kept through coefficient n
 (_poly_mul), the power (_poly_pow), Horner evaluation at a series with
-zero constant term (_horner) and series division (_poly_div). Integer
-inputs stay integer in each. TruncatedSeries (a power series cut at a
-fixed order, tagged z for face-counted series and t for the Motzkin
-side), LaurentPoly and ULaurentRational (rational functions of the
-Motzkin series U, where scheme weights have a closed product form and
-the genus series is assembled before any expansion) are Fraction
-wrappers over these kernels.
+zero constant term (_horner), series division (_poly_div) and
+evaluation at zT^2 (_at_zT2). Integer inputs stay integer in each.
+TruncatedSeries (a power series cut at a fixed order, tagged z for
+face-counted series and t for the Motzkin side), LaurentPoly and
+ULaurentRational (rational functions of the Motzkin series U, where
+scheme weights have a closed product form and the genus series is
+assembled before any expansion) are Fraction wrappers over these
+kernels.
 
-series_Tg runs in integers: (T - 1)/3 and U(zT^2) have integer
-coefficients, the weight sum's denominator is an integer polynomial
-with constant term 1, and one integer scale clears its numerator, so
-the Horner evaluations and the division stay in ints and the result is
-divided by the scale once.
+series_Tg runs in integers with no series product: the weight sum is
+U -> 1/U symmetric, hence a rational function of t = U/(1 + U + U^2),
+and t = zT^2 there. By Lagrange inversion [z^n](zT^2)^k =
+(k/n) C(2n, n-k) 3^(n-k), so _at_zT2 evaluates both parts term by
+term; one integer scale clears the numerator, the denominator starts
+with 1, and the one division stays in ints.
 
 Everything is exact. No float enters any computation; the only float
 ever produced is AsymptoticConstant.approx() for display.
@@ -118,6 +120,20 @@ def _horner(p, u, n: int) -> list:
     for c in reversed(p):
         out = _poly_mul(out, u, n)
         out[0] += c
+    return out
+
+
+def _at_zT2(p, n: int) -> list:
+    """p(zT^2) through coefficient n, for an integer polynomial p and
+    T = 1 + 3zT^2: coefficient m sums the integers p[k] (k/m) b with
+    b = C(2m, m-k) 3^(m-k), which steps down k by exact division."""
+    out = [p[0]] + [0] * n
+    for m in range(1, n + 1):
+        b, acc = math.comb(2 * m, m - 1) * 3 ** (m - 1), 0
+        for k, c in enumerate(p[1:m + 1], 1):
+            acc += k * c * b
+            b = b * (m - k) // (3 * (m + k + 1))
+        out[m] = acc // m
     return out
 
 
@@ -232,34 +248,19 @@ def series_T(N: int) -> TruncatedSeries:
     return TruncatedSeries("z", N, cs)
 
 
-def _solve_quadratic_fixed(s: list) -> list:
-    """The power series V with V = s (1 + V + V^2), for s with zero
-    constant term; integer when s is.
-
-    Computes U(s) without composing truncated series term by term.
-    """
-    if s[0] != 0:
-        raise InternalCheckError("substituted series must vanish at 0")
-    N = len(s) - 1
-    v = [0] * (N + 1)
-    w = [0] * (N + 1)  # w = 1 + V + V^2
-    w[0] = 1
-    for n in range(1, N + 1):
-        m = n - 1
-        if m >= 1:
-            sq = sum(v[a] * v[m - a] for a in range(1, m))
-            w[m] = v[m] + sq
-        v[n] = sum(s[i] * w[n - i] for i in range(1, n + 1) if s[i])
-        # patch w at level n is deferred; only w[<n] was needed above
-    return v
-
-
 @lru_cache(maxsize=None, typed=True)
 def series_U(N: int) -> TruncatedSeries:
-    """Motzkin series: the power series root of U = t (1 + U + U^2)."""
+    """Motzkin series: the power series root of U = t (1 + U + U^2).
+
+    Coefficient n is coefficient n - 1 of 1 + U + U^2, which reads only
+    coefficients below n, so one pass in integers fills them in order.
+    """
     _check_natural(N, "order")
-    t = ([0, 1] + [0] * N)[: N + 1]
-    return TruncatedSeries("t", N, _solve_quadratic_fixed(t))
+    u = [0] * (N + 1)
+    for n in range(1, N + 1):
+        m = n - 1
+        u[n] = u[m] + sum(u[a] * u[m - a] for a in range(1, m)) if m else 1
+    return TruncatedSeries("t", N, u)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -405,14 +406,8 @@ class ULaurentRational:
             num = LaurentPoly(num.offset - den.offset, num.coeffs)
         den = LaurentPoly(0, den.coeffs)
         # scale both parts so den has integer content 1, lowest coeff > 0
-        lcm = 1
-        for c in den.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [c * lcm for c in den.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, int(c))
-        scale = Fraction(lcm, g)
+        lcm = math.lcm(*(c.denominator for c in den.coeffs))
+        scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in den.coeffs)))
         if den.coeffs[0] < 0:
             scale = -scale
         object.__setattr__(self, "num", num.scale(scale))
@@ -627,27 +622,31 @@ def to_t_rational(x: ULaurentRational):
 # genus series in z and asymptotic constants
 
 
+@lru_cache(maxsize=None)
+def _weight_in_t(g: int):
+    """rhat_exact(g) in t as integer coefficients (num, den) and the
+    scale that divides num; den must start with 1."""
+    nt, dt = to_t_rational(rhat_exact(g))
+    if dt[0] != 1 or any(c.denominator != 1 for c in dt):
+        raise InternalCheckError("weight denominator in t is not an "
+                                 "integer polynomial with constant term 1")
+    scale = math.lcm(*(c.denominator for c in nt))
+    return (tuple(c.numerator * (scale // c.denominator) for c in nt),
+            tuple(c.numerator for c in dt), scale)
+
+
 def series_Tg(g: int, N: int) -> TruncatedSeries:
     """Genus-g labeled tree series in z.
 
     T_0 is the plane tree series T itself; for g >= 1 it is the Euler
-    derivative z d/dz of the weight sum evaluated at t = zT^2.
+    derivative z d/dz of the weight sum in t evaluated at t = zT^2.
     """
     _check_natural(g, "genus")
     if g == 0:
         return series_T(N)
-    # zT^2 = (T-1)/3, and U evaluated there, have integer coefficients
-    v = _solve_quadratic_fixed(
-        [0] + [c.numerator // 3 for c in series_T(N).coeffs[1:]])
-    r = rhat_exact(g)
-    den = _horner([c.numerator for c in r.den.coeffs], v, N)
-    if den[0] != 1:
-        raise InternalCheckError(
-            f"weight denominator is {den[0]} at z = 0, not 1")
-    scale = math.lcm(*(c.denominator for c in r.num.coeffs))
-    num = [0] * r.num.offset + [c.numerator * (scale // c.denominator)
-                                for c in r.num.coeffs]
-    x = _poly_div(_horner(num, v, N), den, N)
+    _check_natural(N, "order")  # before the weight sum is built
+    num, den, scale = _weight_in_t(g)
+    x = _poly_div(_at_zT2(num, N), _at_zT2(den, N), N)
     return TruncatedSeries(
         "z", N, [Fraction(n * c, scale) for n, c in enumerate(x)])
 

@@ -3,9 +3,10 @@
 Every identity the package advertises gets an executable check here:
 census counts against closed formulas, the opening/closure bijection
 exhausted over small censuses, scheme-sum series against closed forms,
-exact constants, structural invariants under random surgery, and the
-sampler's uniformity.  Each check carries a wall-clock budget; a check
-that exceeds its budget fails even when the mathematics held, because a
+exact constants, structural invariants under random surgery, the
+sampler's uniformity, and the genus series against an independent
+recurrence.  Each check carries a wall-clock budget; a check that
+exceeds its budget fails even when the mathematics held, because a
 verification that cannot finish is not a verification.
 
 Checks never fudge: they raise on the first violated property and the
@@ -354,6 +355,28 @@ def _check_trend() -> str:
             f"to {float(d400):.5f} at n=400, exactly")
 
 
+def _check_recurrence() -> str:
+    # imported here, so importing the package loads nothing more
+    from .oracles import rooted_map_counts
+
+    for g, N in ((1, 400), (2, 100)):
+        want = rooted_map_counts(g, N)[g]
+        got = series_Qg(g, N).coeffs
+        bad = [n for n in range(N + 1) if got[n] != want[n]]
+        _require(not bad, f"series_Qg({g}, {N}) differs from the "
+                          f"recurrence at n in {bad[:5]}")
+    Q = rooted_map_counts(2, 5)
+    sizes = [(n, 0) for n in range(1, 6)] + [(2, 1), (3, 1), (4, 1), (4, 2)]
+    for n, g in sizes:
+        got = len(enumerate_quadrangulations(n, g))
+        _require(got == Q[g][n],
+                 f"census found {got} genus {g} quadrangulations with {n} "
+                 f"faces, the recurrence gives {Q[g][n]}")
+    return ("series_Qg(1, 400) and series_Qg(2, 100) equal the "
+            "Carrell-Chapuy recurrence coefficient by coefficient, "
+            f"as do {len(sizes)} census sizes up to genus 2")
+
+
 # ---------------------------------------------------------------------------
 # the runner
 
@@ -366,6 +389,7 @@ _CHECKS = (
     ("structural-invariants", _check_structural, 300.0),
     ("sampler-uniformity", _check_sampler, 300.0),
     ("asymptotic-trend", _check_trend, 120.0),
+    ("map-recurrence", _check_recurrence, 60.0),
 )
 
 LEVELS = {

@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -267,6 +268,21 @@ class TestVerify:
         assert [row[0] for row in rows] == ["planar-counts",
                                             "torus-closed-forms",
                                             "u-symmetry"]
+
+
+    def test_smoke_json(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "--level", "smoke",
+                              "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["level"], report["passed"]) == ("smoke", True)
+        assert [c["name"] for c in report["checks"]] == [
+            "planar-counts", "torus-closed-forms", "u-symmetry"]
+        for c in report["checks"]:
+            assert set(c) == {"name", "passed", "seconds", "budget",
+                              "margin", "detail"}
+            assert c["passed"] is True and c["detail"]
+            assert c["margin"] == c["budget"] - c["seconds"]
 
 
 class TestUsage:

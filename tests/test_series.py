@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from surfmaps.series import (
     LaurentPoly,
     TruncatedSeries,
     ULaurentRational,
+    _at_zT2,
     _gamma_half,
     _poly_mul,
     _profile_counts,
@@ -334,6 +336,44 @@ class TestGenusSeries:
     def test_dominant_bookkeeping(self):
         for s in dominant_schemes(1):
             assert s.k + s.p == 10 * 1 - 6
+
+
+class TestAtZT2:
+    """The closed-form evaluation at zT^2 against explicit truncated
+    products of zT^2 = (T - 1)/3."""
+
+    N = 30
+
+    def zT2(self):
+        one = TruncatedSeries.constant("z", self.N, 1)
+        return (series_T(self.N) - one).scale(F(1, 3))
+
+    def test_powers(self):
+        t = self.zT2()
+        for k in range(11):
+            got = _at_zT2([0] * k + [1], self.N)
+            assert got == list(t.pow(k).coeffs)
+            # (zT^2)^k has no term below z^k
+            assert got[:k] == [0] * k and got[k] == 1
+
+    def test_random_polynomial(self):
+        rng = random.Random(12)
+        p = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(12)] + [7]
+        got = _at_zT2(p, self.N)
+        assert all(type(c) is int for c in got)
+        assert got == list(LaurentPoly(0, p).eval_series(self.zT2()).coeffs)
+
+    @pytest.mark.parametrize("dt", [(F(2), F(1)), (F(1), F(1, 2))],
+                             ids=["constant-term", "non-integer"])
+    def test_denominator_must_be_integer_from_one(self, monkeypatch, dt):
+        S = surfmaps.series
+        monkeypatch.setattr(S, "to_t_rational", lambda x: ((F(1),), dt))
+        S._weight_in_t.cache_clear()
+        try:
+            with pytest.raises(InternalCheckError, match="constant term 1"):
+                S.series_Tg(1, 5)
+        finally:
+            S._weight_in_t.cache_clear()
 
 
 class TestConstants:
