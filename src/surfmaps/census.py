@@ -17,8 +17,11 @@ from .labeling import LabeledMap, distance_labels
 from .rotmap import RotationMap
 
 # Default caps on n (edges for maps and trees, faces for quadrangulations).
-# The environment variable below replaces the cap for every genus.
-DEFAULT_BUDGETS = {0: 5, 1: 4, 2: 4}
+# Genus 3 starts at 6 edges, so its cap is its first size. A census over
+# every genus at once (genus None) has its own cap. The environment
+# variable below replaces the cap for every genus.
+DEFAULT_BUDGETS = {0: 5, 1: 4, 2: 4, 3: 6}
+_ALL_GENERA_BUDGET = 5
 MAX_N_ENV = "SURFMAPS_MAX_N"
 
 
@@ -31,7 +34,7 @@ def _max_n(genus: int | None) -> int:
             raise BudgetError(
                 f"{MAX_N_ENV} must be an integer, got {override!r}")
     if genus is None:
-        return max(DEFAULT_BUDGETS.values())
+        return _ALL_GENERA_BUDGET
     return DEFAULT_BUDGETS.get(genus, min(DEFAULT_BUDGETS.values()))
 
 

@@ -16,6 +16,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .census import iter_one_face_maps
@@ -89,18 +90,8 @@ class ReducedTree:
                 raise PreconditionError("second root is out of range")
 
 
-# Schemes are built shape by shape (every labeling of one shape, then the
-# next), so remembering the last shape that passed runs the checks once
-# per shape. The match is by identity: hashing a shape walks its whole
-# sigma and alpha, and the slot's reference keeps the id from being
-# reused. A failing shape is not remembered and raises on every call.
-_last_good_shape: list[Optional[RotationMap]] = [None]
-
-
 def _check_shape(shape: RotationMap) -> None:
     """The conditions a scheme puts on its shape, labels aside."""
-    if shape is _last_good_shape[0]:
-        return
     if shape.n_faces != 1:
         raise PreconditionError("scheme shape must have one face")
     if any(len(orb) < 3 for orb in shape.vertices):
@@ -111,10 +102,9 @@ def _check_shape(shape: RotationMap) -> None:
     total = sum(len(orb) - 2 for orb in shape.vertices)
     if total != 4 * shape.genus - 2:
         raise InternalCheckError("degree identity failed")
-    _last_good_shape[0] = shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scheme:
     """A rooted one-face map with all degrees >= 3, labeled by the
     integer interval 0..p."""
@@ -147,6 +137,21 @@ class Scheme:
 
     def sort_key(self) -> tuple:
         return (self.k, self.shape.sigma, self.shape.alpha, self.labels)
+
+
+# the slot descriptors of Scheme's fields set them past the frozen guard
+_set_shape = Scheme.shape.__set__
+_set_labels = Scheme.labels.__set__
+
+
+def _trusted_scheme(shape: RotationMap, labels: tuple[int, ...]) -> Scheme:
+    """A Scheme built without __post_init__, for the generators below:
+    the shape has passed _check_shape and the labels tuple is a
+    surjection onto 0..p of length n_vertices by construction."""
+    s = object.__new__(Scheme)
+    _set_shape(s, shape)
+    _set_labels(s, labels)
+    return s
 
 
 @dataclass(frozen=True)
@@ -466,8 +471,9 @@ def iter_schemes(g: int):
     _check_genus(g)
     for k in range(2 * g, 6 * g - 2):
         for shape in _shapes(k, g):
+            _check_shape(shape)
             for combo in _interval_labelings(shape.n_vertices):
-                yield Scheme(shape, combo)
+                yield _trusted_scheme(shape, combo)
 
 
 def enumerate_schemes(g: int) -> list[Scheme]:
@@ -482,12 +488,12 @@ def dominant_schemes(g: int) -> list[Scheme]:
     k = 6 * g - 3
     out = []
     for shape in _shapes(k, g):
-        q = shape.n_vertices
+        _check_shape(shape)
         # at the maximal edge count the degree identity forces all 3s
         if any(len(orb) != 3 for orb in shape.vertices):
             raise InternalCheckError("non-cubic shape at maximal edge count")
-        for perm in itertools.permutations(range(q)):
-            out.append(Scheme(shape, perm))
+        out.extend(_trusted_scheme(shape, perm) for perm in
+                   itertools.permutations(range(shape.n_vertices)))
     out.sort(key=Scheme.sort_key)
     return out
 
@@ -503,26 +509,56 @@ class DProfile(NamedTuple):
     d: int
 
 
+# d_profile packs an edge's contribution to every count into one integer:
+# field 0 counts edges with equal end labels, field j in 1..p the edges
+# straddling level j. Field j holds bits width*j .. width*(j+1) - 1.
+
+
+@lru_cache(maxsize=1 << 12)
+def _edge_entries(ends: tuple[tuple[int, int], ...], q: int) -> itemgetter:
+    """Picks, out of a _packed_row, each edge's entry and the top mark."""
+    return itemgetter(*(a * q + b if a <= b else b * q + a for a, b in ends),
+                      q * q)
+
+
+@lru_cache(maxsize=1 << 13)
+def _packed_row(labels: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """At index a*q + b, the packed counts of one edge between vertices
+    a <= b: a 1 in field 0 if their labels are equal, else a 1 in every
+    field lo+1..hi that the labels lo < hi straddle. The entry at q*q is
+    the top mark, a 1 in field p+1, so a sum's bit length tells p."""
+    q = len(labels)
+    ones = (1 << width) - 1
+    row = [0] * (q * q) + [1 << width * (max(labels) + 1)]
+    for a in range(q):
+        for b in range(a, q):
+            lo, hi = sorted((labels[a], labels[b]))
+            row[a * q + b] = 1 if lo == hi else (
+                ((1 << width * (hi + 1)) - (1 << width * (lo + 1))) // ones)
+    return tuple(row)
+
+
+@lru_cache(maxsize=1 << 12)
+def _unpacked_profile(total: int, k: int) -> DProfile:
+    """The DProfile that a packed sum over all k edges stands for."""
+    width = k.bit_length()
+    p = (total.bit_length() - 1) // width - 1
+    mask = (1 << width) - 1
+    e_eq = total & mask
+    d_levels = tuple((total >> width * j) & mask for j in range(1, p + 1))
+    return DProfile(k, p, e_eq, k - e_eq, d_levels, sum(d_levels))
+
+
 def d_profile(s: Scheme) -> DProfile:
     """Count, per level j in 1..p, the edges whose endpoint labels
-    straddle j."""
+    straddle j, and the edges whose endpoint labels are equal.
+
+    The counts are summed in one integer, one bit field per count, of
+    width k.bit_length() bits. No count exceeds the edge count k, and
+    k < 2**width, so no field carries into the next.
+    """
     labels = s.labels
-    p = max(labels)
-    # an edge from label lo to hi > lo straddles levels lo+1..hi: mark
-    # its ends and take prefix sums
-    marks = [0] * (p + 1)
-    e_eq = 0
     ends = s.shape.edge_ends
-    for a, b in ends:
-        lo, hi = labels[a], labels[b]
-        if lo < hi:
-            marks[lo] += 1
-            marks[hi] -= 1
-        elif lo > hi:
-            marks[hi] += 1
-            marks[lo] -= 1
-        else:
-            e_eq += 1
-    d_levels = tuple(itertools.accumulate(marks[:p]))
     k = len(ends)
-    return DProfile(k, p, e_eq, k - e_eq, d_levels, sum(d_levels))
+    row = _packed_row(labels, k.bit_length())
+    return _unpacked_profile(sum(_edge_entries(ends, len(labels))(row)), k)

@@ -525,10 +525,7 @@ def weight_series(s: Scheme, N: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _profile_counts(g: int):
-    counts: CounterT = Counter()
-    for s in iter_schemes(g):
-        counts[d_profile(s)] += 1
-    return counts
+    return Counter(map(d_profile, iter_schemes(g)))
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from surfmaps import (
     iter_one_face_maps,
     iter_rooted_maps,
 )
+from surfmaps.census import _max_n
 
 # frozen counts: rooted maps with n edges, all genera, then planar only
 ALL_GENUS_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706}
@@ -199,6 +200,11 @@ class TestBudgets:
                        enumerate_well_labeled_trees,
                        enumerate_quadrangulations):
             assert len(census(4, 2)) == 21, census.__name__
+
+    def test_all_genera_budget(self):
+        assert _max_n(None) == 5
+        with pytest.raises(BudgetError):
+            enumerate_rooted_maps(6)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SURFMAPS_MAX_N", "2")

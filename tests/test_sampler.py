@@ -81,6 +81,15 @@ class TestTreeSampler:
         assert (q.genus, q.n_faces) == (2, 4)
         check_quadrangulation(q)
 
+    def test_genus_three_budget_is_its_first_size(self):
+        # the smallest genus-3 one-face map has 6 edges
+        res = sample_quadrangulation(6, seed=0, genus=3)
+        q = res.quad.quad
+        assert (q.genus, q.n_faces) == (3, 6)
+        check_quadrangulation(q)
+        with pytest.raises(BudgetError):
+            sample_quadrangulation(7, seed=0, genus=3)
+
 
 class TestExactPushforward:
     @pytest.mark.parametrize("n,classes", [(1, 6), (2, 36), (3, 270)])

@@ -1,6 +1,9 @@
 """Core reduction, scheme extraction, and scheme generation."""
 
+import itertools
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +16,7 @@ from surfmaps import (
     enumerate_embedded_trees,
 )
 from surfmaps.schemes import (
+    DProfile,
     MotzkinWalk,
     ReducedTree,
     Scheme,
@@ -25,6 +29,7 @@ from surfmaps.schemes import (
     iter_schemes,
     rebuild,
     reduce,
+    _interval_labelings,
     _shapes,
 )
 
@@ -275,6 +280,108 @@ class TestDProfile:
         prof = d_profile(Scheme(theta, (1, 0)))
         assert prof.d_levels == (3,)
         assert prof.e_ne == 3
+
+
+def straddle_profile(labels, ends) -> DProfile:
+    """The reference count: mark each edge's ends on a level line and
+    take prefix sums, one edge at a time."""
+    p = max(labels)
+    marks = [0] * (p + 1)
+    e_eq = 0
+    for a, b in ends:
+        lo, hi = labels[a], labels[b]
+        if lo < hi:
+            marks[lo] += 1
+            marks[hi] -= 1
+        elif lo > hi:
+            marks[hi] += 1
+            marks[lo] -= 1
+        else:
+            e_eq += 1
+    d_levels = tuple(itertools.accumulate(marks[:p]))
+    k = len(ends)
+    return DProfile(k, p, e_eq, k - e_eq, d_levels, sum(d_levels))
+
+
+def bare_scheme(labels, ends):
+    """What d_profile reads of a scheme, for edge sets no shape has."""
+    return SimpleNamespace(labels=tuple(labels),
+                           shape=SimpleNamespace(edge_ends=tuple(ends)))
+
+
+class TestPackedProfile:
+    """d_profile sums packed bit fields; the straddle loop is the
+    reference it must match."""
+
+    def test_every_genus_one_scheme(self):
+        for s in iter_schemes(1):
+            assert d_profile(s) == straddle_profile(s.labels,
+                                                    s.shape.edge_ends)
+
+    def test_every_dominant_genus_two_scheme(self):
+        for s in dominant_schemes(2):
+            assert d_profile(s) == straddle_profile(s.labels,
+                                                    s.shape.edge_ends)
+
+    def test_full_fields(self):
+        # every edge in one field: equal labels fill field 0, edges from
+        # the bottom to the top label fill every level field
+        for k in range(1, 41):
+            for p in (0, 1, 5, 12):
+                labels = tuple(range(p + 1))
+                loops = [(p, p)] * k
+                spans = [(0, p), (p, 0)] * (k // 2) + [(0, p)] * (k % 2)
+                for ends in (loops, spans):
+                    got = d_profile(bare_scheme(labels, ends))
+                    assert got == straddle_profile(labels, ends), (k, p)
+
+    def test_random_edge_sets(self):
+        rng = random.Random(20071)
+        for _ in range(3000):
+            p = rng.randint(0, 12)
+            q = rng.randint(p + 1, p + 4)
+            labels = list(range(p + 1)) + [rng.randint(0, p)
+                                           for _ in range(q - p - 1)]
+            rng.shuffle(labels)
+            k = rng.randint(1, 40)
+            # few distinct labels per edge set, so fields fill up
+            pool = rng.sample(range(q), rng.randint(1, q))
+            ends = [(rng.choice(pool), rng.choice(pool)) for _ in range(k)]
+            got = d_profile(bare_scheme(labels, ends))
+            assert got == straddle_profile(labels, ends), (labels, ends)
+
+
+class TestTrustedConstruction:
+    """The generators build schemes without repeating the public
+    constructor's checks; each must equal the checked Scheme."""
+
+    @staticmethod
+    def assert_checked_equal(s):
+        checked = Scheme(s.shape, s.labels)
+        assert s == checked and hash(s) == hash(checked)
+        assert type(s.labels) is tuple
+
+    def test_genus_one(self):
+        for s in itertools.chain(iter_schemes(1), dominant_schemes(1)):
+            self.assert_checked_equal(s)
+
+    def test_three_shapes_per_edge_count_at_genus_two(self):
+        picked = {}
+        for k in range(4, 10):
+            shapes = _shapes(k, 2)
+            for i in (0, len(shapes) // 2, len(shapes) - 1):
+                picked[id(shapes[i])] = shapes[i]
+        seen = 0
+        for s in iter_schemes(2):
+            if id(s.shape) in picked:
+                self.assert_checked_equal(s)
+                seen += 1
+        assert seen == sum(len(_interval_labelings(sh.n_vertices))
+                           for sh in picked.values())
+
+    def test_labelings_are_ordered_bell_many(self):
+        assert [len(_interval_labelings(q)) for q in range(1, 7)] == [
+            1, 3, 13, 75, 541, 4683]
 
 
 class TestGenusTwo:
