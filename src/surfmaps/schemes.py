@@ -44,6 +44,8 @@ def _max_genus() -> int:
 
 
 def _check_genus(g: int) -> None:
+    if not isinstance(g, int):
+        raise PreconditionError(f"genus must be an integer, got {g!r}")
     if g < 1:
         raise PreconditionError(
             "schemes exist for genus 1 and up; the planar case has no core")

@@ -9,12 +9,19 @@ TruncatedSeries (a power series cut at a fixed order, tagged z for
 face-counted series and t for the Motzkin side), LaurentPoly and
 ULaurentRational (rational functions of the Motzkin series U, where
 scheme weights have a closed product form and the genus series is
-assembled before any expansion) are Fraction wrappers over these
-kernels.
+assembled before any expansion) hold Fraction coefficients and do
+their arithmetic through these kernels.
 
-series_Tg runs in integers with no series product: the weight sum is
-U -> 1/U symmetric, hence a rational function of t = U/(1 + U + U^2),
-and t = zT^2 there. By Lagrange inversion [z^n](zT^2)^k =
+The weight sum is U -> 1/U symmetric, hence a rational function of
+t = U/(1 + U + U^2). to_t_rational finds it in integers: one scale
+clears the numerator, both parts are multiplied by the conjugate
+denominator, and each product, a palindrome up to a power of U, is
+peeled from its lowest term in the palindromic basis
+U^j (1 + U + U^2)^(m-j) = U^m t^(j-m). A numerator that leaves a
+remainder is not symmetric.
+
+series_Tg runs in integers with no series product: t = zT^2 in the
+weight sum's t-form. By Lagrange inversion [z^n](zT^2)^k =
 (k/n) C(2n, n-k) 3^(n-k), so _at_zT2 evaluates both parts term by
 term; one integer scale clears the numerator, the denominator starts
 with 1, and the one division stays in ints.
@@ -183,7 +190,8 @@ class TruncatedSeries:
         return cls(var, order, (c,) + (0,) * order)
 
     def coeff(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
+        _check_natural(n, "coefficient index")
+        if n > self.order:
             raise PreconditionError(
                 f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -298,6 +306,9 @@ class LaurentPoly:
     coeffs: tuple
 
     def __post_init__(self):
+        if not isinstance(self.offset, int):
+            raise PreconditionError(
+                f"offset must be an integer, got {self.offset!r}")
         cs = [_frac(c) for c in self.coeffs]
         off = self.offset
         lo = 0
@@ -436,11 +447,6 @@ class ULaurentRational:
         return self.num.eval_series(u).div(den)
 
 
-def u_symmetry_check(x: ULaurentRational) -> bool:
-    """True iff x(U) = x(1/U) as rational functions."""
-    return x.num.conj() * x.den == x.num * x.den.conj()
-
-
 # ---------------------------------------------------------------------------
 # scheme weights and the genus series
 
@@ -547,41 +553,39 @@ def rhat(g: int, N: int) -> TruncatedSeries:
 # symmetric rational functions of U as rational functions of t
 
 
-def _sym_laurent_to_v(L: LaurentPoly) -> list:
-    """Rewrite a conj-invariant Laurent polynomial as a polynomial in
-    v = U + 1/U (coefficient list, constant first)."""
-    if L.is_zero():
-        return [Fraction(0)]
-    if L != L.conj():
-        raise InternalCheckError("Laurent polynomial is not symmetric")
-    m = L.top
-    c = {i: L.coeffs[i - L.offset] if L.offset <= i <= m else Fraction(0)
-         for i in range(-m, m + 1)}
-    # P_n(v) = U^n + U^-n: P_0 = 2, P_1 = v, P_n = v P_{n-1} - P_{n-2}
-    out = [Fraction(0)] * (m + 1)
-    out[0] = c[0]
-    p_prev = [Fraction(2)]
-    p_cur = [Fraction(0), Fraction(1)]
-    for n in range(1, m + 1):
-        for i, a in enumerate(p_cur):
-            out[i] += c[n] * a
-        if n < m:
-            shifted = [Fraction(0)] + p_cur
-            p_next = [shifted[i] - (p_prev[i] if i < len(p_prev) else 0)
-                      for i in range(len(shifted))]
-            p_prev, p_cur = p_cur, p_next
-    return out
+def _conj_product(x: ULaurentRational):
+    """num * conj(den) of x in integers, as (scale, offset, coeffs):
+    the product is U^offset * coeffs / scale. Since den * conj(den) is
+    U -> 1/U symmetric, x is iff this product is."""
+    if not isinstance(x, ULaurentRational):
+        raise PreconditionError(f"expected a ULaurentRational, got {x!r}")
+    scale = math.lcm(*(c.denominator for c in x.num.coeffs))
+    num = [c.numerator * (scale // c.denominator) for c in x.num.coeffs]
+    dstar = [c.numerator for c in reversed(x.den.coeffs)]
+    p = _poly_mul(num, dstar) if num else []
+    return scale, x.num.offset - x.den.top, p
 
 
-def _v_poly_to_t(pv: list, D: int) -> list:
-    """t^D * p((1-t)/t) as a polynomial in t, for deg p <= D."""
-    out = [Fraction(0)] * (D + 1)
-    power = [1]  # runs through (1-t)^i
-    for i, a in enumerate(pv):
+def u_symmetry_check(x: ULaurentRational) -> bool:
+    """True iff x(U) = x(1/U) as rational functions, that is iff
+    num * conj(den) is a palindrome centred on U^0."""
+    _, offset, p = _conj_product(x)
+    return p == p[::-1] and (not p or 2 * offset + len(p) == 1)
+
+
+def _peel(rest: list, powers: list) -> list:
+    """Coordinates a_0..a_m of a polynomial of degree <= 2m in the
+    palindromes U^j (1 + U + U^2)^(m-j), given powers[i] =
+    (1 + U + U^2)^i for i = 0..m. Each step clears the lowest term of
+    rest in place, so rest is left zero iff it was a palindrome
+    about U^m."""
+    out = []
+    for j, power in enumerate(reversed(powers)):
+        a = rest[j]
+        out.append(a)
         if a:
-            for j, x in enumerate(power):
-                out[D - i + j] += a * x
-        power = _poly_mul(power, [1, -1])
+            for i, c in enumerate(power, j):
+                rest[i] -= a * c
     return out
 
 
@@ -589,30 +593,35 @@ def to_t_rational(x: ULaurentRational):
     """Rewrite a U-symmetric rational function as a rational function
     of t = U/(1 + U + U^2), returned as (num, den) coefficient tuples.
 
-    Uses v = U + 1/U = (1 - t)/t: multiplying through by the conjugate
-    of the denominator makes both parts conj-invariant, hence
-    polynomials in v. Raises if x is not symmetric under U -> 1/U.
+    Multiplying both parts by conj(den) makes them conj-invariant. A
+    conj-invariant L with terms U^-m..U^m is U^-m times a palindrome of
+    degree 2m, and those palindromes have the basis
+    U^j (1 + U + U^2)^(m-j), j = 0..m: m + 1 palindromes whose lowest
+    terms U^j differ. As U^(j-m) (1 + U + U^2)^(m-j) = t^(j-m),
+    L = t^-m sum a_j t^j, and peeling the lowest term reads off the
+    a_j. Both parts are peeled at the larger m, so they share t^-m.
+    One scale clears the numerator, and everything up to the final
+    division runs in integers. A nonzero remainder of the numerator's
+    peel means x is not symmetric under U -> 1/U, and raises.
     """
-    if not u_symmetry_check(x):
+    scale, offset, p = _conj_product(x)
+    den = [c.numerator for c in x.den.coeffs]
+    m = max(len(den) - 1, -offset, offset + len(p) - 1)
+    powers = [[1]]
+    for _ in range(m):
+        powers.append(_poly_mul(powers[-1], (1, 1, 1)))
+    rest = [0] * (m + offset) + p + [0] * (m + 1 - offset - len(p))
+    nt = _peel(rest, powers)
+    if any(rest):
         raise PreconditionError("not symmetric under U -> 1/U")
-    dstar = x.den.conj()
-    num2 = x.num * dstar
-    den2 = x.den * dstar
-    nv = _sym_laurent_to_v(num2)
-    dv = _sym_laurent_to_v(den2)
-    D = max(len(nv), len(dv)) - 1
-    nt = _v_poly_to_t(nv + [Fraction(0)] * (D + 1 - len(nv)), D)
-    dt = _v_poly_to_t(dv + [Fraction(0)] * (D + 1 - len(dv)), D)
-    # strip the common power of t
-    lead = 0
-    while lead <= D and nt[lead] == 0 and dt[lead] == 0:
-        lead += 1
-    nt, dt = nt[lead:], dt[lead:]
+    pad = [0] * (m + 1 - len(den))
+    dt = _peel(pad + _poly_mul(den, den[::-1]) + pad, powers)
     while len(nt) > 1 and nt[-1] == 0:
         nt.pop()
     while len(dt) > 1 and dt[-1] == 0:
         dt.pop()
-    return tuple(nt), tuple(dt)
+    return (tuple(Fraction(c, scale) for c in nt),
+            tuple(Fraction(c) for c in dt))
 
 
 # ---------------------------------------------------------------------------

@@ -400,3 +400,27 @@ class TestGenusTwo:
         want = sum(cnt * fubini[k - 3] for k, cnt in shapes.items())
         assert want == 774564
         assert sum(1 for _ in iter_schemes(2)) == want
+
+    def test_extract_inverts_rebuild(self):
+        # random genus-2 schemes with random interval labels and values,
+        # each edge subdivided along a short random Motzkin walk
+        rng = random.Random(2)
+        for _ in range(200):
+            shape = rng.choice(_shapes(rng.randrange(4, 10), 2))
+            raw = [rng.randrange(shape.n_vertices) for _ in shape.vertices]
+            ranks = sorted(set(raw))
+            scheme = Scheme(shape, tuple(ranks.index(x) for x in raw))
+            values = tuple(itertools.accumulate(
+                rng.randint(1, 3) for _ in range(scheme.p)))
+            vals = (0,) + values
+            vi = shape.vertex_index
+            walks = []
+            for d, e in shape.edges:
+                inc = vals[scheme.labels[vi[e]]] - vals[scheme.labels[vi[d]]]
+                up = rng.randrange(3)
+                steps = ([1 if inc > 0 else -1] * abs(inc) + [1, -1] * up
+                         + [0] * rng.randrange(0 if inc or up else 1, 3))
+                rng.shuffle(steps)
+                walks.append(MotzkinWalk(steps))
+            dec = SchemeDecomposition(scheme, walks, values)
+            assert extract_scheme(rebuild(dec)) == dec

@@ -10,7 +10,12 @@ import pytest
 
 import surfmaps.series
 from surfmaps import BudgetError, InternalCheckError, PreconditionError, RotationMap
-from surfmaps.schemes import Scheme, dominant_schemes
+from surfmaps.schemes import (
+    Scheme,
+    dominant_schemes,
+    enumerate_schemes,
+    iter_schemes,
+)
 from surfmaps.series import (
     AsymptoticConstant,
     LaurentPoly,
@@ -18,6 +23,7 @@ from surfmaps.series import (
     ULaurentRational,
     _at_zT2,
     _gamma_half,
+    _poly_div,
     _poly_mul,
     _profile_counts,
     asympt_constant,
@@ -109,6 +115,24 @@ class TestTruncatedSeries:
             t.div(t)
 
 
+class TestPolyDiv:
+    """_poly_div on plain lists: TruncatedSeries turns every
+    coefficient into a Fraction, so only a direct call shows the type."""
+
+    def test_integer_over_unit_divisor_stays_int(self):
+        # (1 + t) / (1 - 2t + 3t^2), checked by multiplying back
+        q = _poly_div([1, 1, 0, 0, 0, 0], [1, -2, 3], 5)
+        assert all(type(c) is int for c in q)
+        assert q == [1, 3, 3, -3, -15, -21]
+        assert _poly_mul(q, [1, -2, 3], 5) == [1, 1, 0, 0, 0, 0]
+
+    def test_divisor_starting_two(self):
+        # 1 / (2 + t) = sum of (-1)^i t^i / 2^(i+1)
+        q = _poly_div([1, 0, 0, 0], [2, 1], 3)
+        assert q == [F(1, 2), F(-1, 4), F(1, 8), F(-1, 16)]
+        assert all(type(c) is F for c in q)
+
+
 _ONE = TruncatedSeries.constant("t", 3, 1)
 
 
@@ -133,9 +157,30 @@ class TestIntegerArguments:
         pytest.param(lambda: rhat(1, 2.0), id="rhat"),
         pytest.param(lambda: _ONE.pow(1.5), id="pow"),
         pytest.param(lambda: LaurentPoly.one().pow(1.5), id="Laurent-pow"),
+        pytest.param(lambda: LaurentPoly(0.5, (1,)), id="Laurent-offset"),
+        pytest.param(lambda: _ONE.coeff(1.5), id="coeff"),
+        pytest.param(lambda: _ONE.coeff(-1), id="coeff-negative"),
+        pytest.param(lambda: rhat_exact(1.0), id="rhat_exact"),
+        pytest.param(lambda: rhat(1.0, 5), id="rhat-genus"),
+        pytest.param(lambda: tau(1.0), id="tau"),
+        pytest.param(lambda: asympt_constant(1.0), id="asympt_constant"),
+        pytest.param(lambda: next(iter_schemes(1.0)), id="iter_schemes"),
+        pytest.param(lambda: dominant_schemes(1.0), id="dominant_schemes"),
+        pytest.param(lambda: enumerate_schemes("1"), id="enumerate_schemes"),
     ])
     def test_non_integer_rejected(self, call):
         with pytest.raises(PreconditionError, match="must be an integer"):
+            call()
+
+    def test_coeff_past_order_rejected(self):
+        with pytest.raises(PreconditionError, match="outside truncation"):
+            _ONE.coeff(4)
+
+    @pytest.mark.parametrize("call", [lambda: to_t_rational(3),
+                                      lambda: u_symmetry_check(None)],
+                             ids=["to_t_rational", "u_symmetry_check"])
+    def test_non_rational_rejected(self, call):
+        with pytest.raises(PreconditionError, match="ULaurentRational"):
             call()
 
 
@@ -248,6 +293,57 @@ class TestLaurentAlgebra:
 
     def test_to_t_rational_needs_symmetry(self):
         x = ULaurentRational(LaurentPoly(1, (1,)), LaurentPoly.one())
+        with pytest.raises(PreconditionError, match="symmetric"):
+            to_t_rational(x)
+
+
+class TestTForm:
+    """to_t_rational outputs, values and Fraction types pinned bit for
+    bit (taken from the earlier conversion through v = U + 1/U)."""
+
+    def test_genus_one(self):
+        nt, dt = to_t_rational(rhat_exact(1))
+        assert nt == (0, 0, F(1, 2), F(-1, 2), -7, 3, F(45, 2), F(27, 2))
+        assert dt == (1, -9, 21, 19, -93, -27, 135, 81)
+        assert all(type(c) is F for c in nt + dt)
+
+    def test_genus_two(self):
+        nt, dt = to_t_rational(rhat_exact(2))
+        assert (len(nt), len(dt)) == (54, 54)
+        assert all(type(c) is F for c in nt + dt)
+        assert digest(nt) == (
+            "adf6c8d7ddca44f1b620198ee2dcc68bad5ff91aa89579329c0d174d49cc5a96")
+        assert digest(dt) == (
+            "93803fa131b4335e5e9ea623afedb087dbcad5adb4d4a2b5d07c69544c98e868")
+
+    def test_zero_numerator(self):
+        x = ULaurentRational(LaurentPoly.zero(), LaurentPoly(0, (1, 1, 1)))
+        nt, dt = to_t_rational(x)
+        assert (nt, dt) == ((0,), (1,))
+        assert all(type(c) is F for c in nt + dt)
+        assert u_symmetry_check(x)
+
+    def test_symmetry_hidden_by_common_factor(self):
+        # (U + 1/U) / 1 with num and den both multiplied by 1 + 2U
+        f = LaurentPoly(0, (1, 2))
+        x = ULaurentRational(LaurentPoly(-1, (1, 0, 1)) * f, f)
+        assert u_symmetry_check(x)
+        # (1 - t)/t, times the common factor (2 + 3t) the peel keeps
+        assert to_t_rational(x) == ((2, 1, -3), (0, 2, 3))
+        y = ULaurentRational(LaurentPoly(-1, (1, 0, 2)) * f, f)
+        assert not u_symmetry_check(y)
+        with pytest.raises(PreconditionError, match="symmetric"):
+            to_t_rational(y)
+
+    # each numerator over 1 + U; the last times conj(1 + U) is a
+    # palindrome, but centred on U^-5, not U^0
+    @pytest.mark.parametrize("num", [(-2, (1,)), (3, (1,)), (-1, (2, 0, 1)),
+                                     (-3, (1, 1, 1)), (-5, (1, 1))],
+                             ids=["U^-2", "U^3", "2/U+U", "U^-3+U^-2+U^-1",
+                                  "U^-5(1+U)"])
+    def test_asymmetric_rejected(self, num):
+        x = ULaurentRational(LaurentPoly(*num), LaurentPoly(0, (1, 1)))
+        assert not u_symmetry_check(x)
         with pytest.raises(PreconditionError, match="symmetric"):
             to_t_rational(x)
 
