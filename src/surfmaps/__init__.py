@@ -98,7 +98,6 @@ from .series import (
     to_t_rational,
     u_symmetry_check,
     weight,
-    weight_series,
 )
 from .verify import (
     CheckResult,

@@ -38,9 +38,18 @@ def _max_n(genus: int | None) -> int:
     return DEFAULT_BUDGETS.get(genus, min(DEFAULT_BUDGETS.values()))
 
 
+def _check_size(n: int, genus: int | None, what: str) -> None:
+    """The gate on a census request: n an int >= 1, genus None or an
+    int >= 0."""
+    if not isinstance(n, int) or n < 1:
+        raise PreconditionError(f"{what} needs an integer n >= 1, got {n!r}")
+    if genus is not None and not (isinstance(genus, int) and genus >= 0):
+        raise PreconditionError(f"{what} at n={n} need genus None or an "
+                                f"integer >= 0, got genus {genus!r}")
+
+
 def _check_budget(n: int, genus: int | None, what: str) -> None:
-    if n < 1:
-        raise PreconditionError(f"{what} needs n >= 1, got {n}")
+    _check_size(n, genus, what)
     cap = _max_n(genus)
     if n > cap:
         raise BudgetError(
@@ -103,8 +112,7 @@ def iter_rooted_maps(n_edges: int,
                      genus: int | None = None) -> Iterator[RotationMap]:
     """Stream all rooted maps with n edges (all genera unless filtered),
     each exactly once, in canonical numbering. No budget applies."""
-    if n_edges < 1:
-        raise PreconditionError(f"need n_edges >= 1, got {n_edges}")
+    _check_size(n_edges, genus, "rooted maps")
     for sigma, alpha in _slot_search(2 * n_edges):
         m = RotationMap(sigma, alpha)
         if genus is None or m.genus == genus:
@@ -147,10 +155,10 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
     prunes cut only dead branches: the output and its order are those of
     the unpruned search filtered by degree. No budget applies.
     """
-    if n_edges < 1:
-        raise PreconditionError(f"need n_edges >= 1, got {n_edges}")
-    if min_degree < 1:
-        raise PreconditionError(f"need min_degree >= 1, got {min_degree}")
+    _check_size(n_edges, genus, "one-face maps")
+    if not isinstance(min_degree, int) or min_degree < 1:
+        raise PreconditionError(
+            f"need an integer min_degree >= 1, got {min_degree!r}")
     n_darts = 2 * n_edges
     target_v = None
     max_degree = n_darts

@@ -205,10 +205,6 @@ class RotationMap:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def degree(self, d: int) -> int:
-        """Degree of the vertex holding dart d."""
-        return len(self.vertices[self.vertex_index[d]])
-
     # -- elementary transforms --------------------------------------------
 
     def reroot(self, d: int) -> "RotationMap":
@@ -363,6 +359,8 @@ def add_edge_in_face(m: RotationMap, c1: Corner, c2: Corner) -> RotationMap:
     The new darts are r+1 at c1 and r+2 at c2 where r = m.n_darts.  The
     host face splits in two; genus is unchanged.
     """
+    _check_index("corner", c1, 1, m.n_darts)
+    _check_index("corner", c2, 1, m.n_darts)
     if corner_face(m, c1) != corner_face(m, c2):
         raise PreconditionError(
             f"corners {c1} and {c2} do not share a face")
@@ -385,6 +383,8 @@ def add_vertex_star(m: RotationMap, corners: Sequence[Corner]) -> RotationMap:
     k = len(corners)
     if k == 0:
         raise PreconditionError("need at least one corner")
+    for c in corners:
+        _check_index("corner", c, 1, m.n_darts)
     if len(set(corners)) != k:
         raise PreconditionError("corners must be distinct")
     f = corner_face(m, corners[0])
@@ -589,8 +589,9 @@ def random_rotation_map(rng: random.Random, n_edges: int,
     BudgetError when rejection keeps failing, which signals an impossible
     or absurdly unlikely request.
     """
-    if n_edges < 1:
-        raise PreconditionError("need at least one edge")
+    if not isinstance(n_edges, int) or n_edges < 1:
+        raise PreconditionError(
+            f"need an integer number of edges >= 1, got {n_edges!r}")
     n = 2 * n_edges
     darts = list(range(1, n + 1))
     for _ in range(max_tries):

@@ -144,11 +144,6 @@ class DistanceProfile:
     mean_label: float
     max_label_histogram: tuple
 
-    def __str__(self) -> str:
-        return (f"n={self.n} samples={self.samples} "
-                f"mean_max={self.mean_max_label:.3f} "
-                f"mean={self.mean_label:.3f}")
-
 
 def distance_profile(n: int, samples: int, seed: Seed = None,
                      genus: int = 0) -> DistanceProfile:

@@ -133,10 +133,6 @@ class Scheme:
     def p(self) -> int:
         return max(self.labels)
 
-    @property
-    def genus(self) -> int:
-        return self.shape.genus
-
     def sort_key(self) -> tuple:
         return (self.k, self.shape.sigma, self.shape.alpha, self.labels)
 

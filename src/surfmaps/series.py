@@ -1,9 +1,8 @@
 """Exact generating series for surface map enumeration.
 
-Coefficients are plain lists, constant term first, and five kernels do
+Coefficients are plain lists, constant term first, and four kernels do
 all the arithmetic on them: the product kept through coefficient n
-(_poly_mul), the power (_poly_pow), Horner evaluation at a series with
-zero constant term (_horner), series division (_poly_div) and
+(_poly_mul), the power (_poly_pow), series division (_poly_div) and
 evaluation at zT^2 (_at_zT2). Integer inputs stay integer in each.
 TruncatedSeries (a power series cut at a fixed order, tagged z for
 face-counted series and t for the Motzkin side), LaurentPoly and
@@ -20,11 +19,12 @@ peeled from its lowest term in the palindromic basis
 U^j (1 + U + U^2)^(m-j) = U^m t^(j-m). A numerator that leaves a
 remainder is not symmetric.
 
-series_Tg runs in integers with no series product: t = zT^2 in the
-weight sum's t-form. By Lagrange inversion [z^n](zT^2)^k =
-(k/n) C(2n, n-k) 3^(n-k), so _at_zT2 evaluates both parts term by
-term; one integer scale clears the numerator, the denominator starts
-with 1, and the one division stays in ints.
+rhat and series_Tg both read that t-form (_weight_in_t): integer
+parts, one scale that divides the numerator, and a denominator that
+starts with 1, so each expansion is one integer division. rhat divides
+the parts as series in t. series_Tg first sets t = zT^2 in both with no
+series product: by Lagrange inversion [z^n](zT^2)^k =
+(k/n) C(2n, n-k) 3^(n-k), so _at_zT2 evaluates them term by term.
 
 Everything is exact. No float enters any computation; the only float
 ever produced is AsymptoticConstant.approx() for display.
@@ -59,7 +59,6 @@ __all__ = [
     "series_B",
     "series_M",
     "weight",
-    "weight_series",
     "rhat",
     "rhat_exact",
     "series_Tg",
@@ -118,15 +117,6 @@ def _poly_pow(a, k: int, n=None) -> list:
         k >>= 1
         if k:
             a = _poly_mul(a, a, n)
-    return out
-
-
-def _horner(p, u, n: int) -> list:
-    """p(u) through coefficient n, for u with zero constant term."""
-    out = [0] * (n + 1)
-    for c in reversed(p):
-        out = _poly_mul(out, u, n)
-        out[0] += c
     return out
 
 
@@ -214,9 +204,6 @@ class TruncatedSeries:
         n, a, b = self._align(other)
         return TruncatedSeries(
             self.var, n, tuple(a[i] - b[i] for i in range(n + 1)))
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         n, a, b = self._align(other)
@@ -342,26 +329,6 @@ class LaurentPoly:
             raise PreconditionError("zero polynomial has no degree")
         return self.offset + len(self.coeffs) - 1
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.top, other.top)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset + i - lo] += c
-        return LaurentPoly(lo, tuple(out))
-
-    def __neg__(self) -> "LaurentPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return LaurentPoly(self.offset + other.offset,
                            _poly_mul(self.coeffs, other.coeffs))
@@ -381,16 +348,6 @@ class LaurentPoly:
         if self.is_zero():
             return self
         return LaurentPoly(-self.top, tuple(reversed(self.coeffs)))
-
-    def eval_series(self, u: TruncatedSeries) -> TruncatedSeries:
-        """Evaluate at a power series of valuation >= 1 (so offset >= 0)."""
-        if self.offset < 0:
-            raise PreconditionError(
-                "cannot evaluate negative powers at a power series")
-        if u.coeffs[0] != 0:
-            raise PreconditionError("evaluation point must have valuation >= 1")
-        return TruncatedSeries(u.var, u.order, _horner(
-            (0,) * self.offset + self.coeffs, u.coeffs, u.order))
 
 
 @dataclass(frozen=True)
@@ -431,20 +388,11 @@ class ULaurentRational:
 
     __hash__ = None
 
-    def __add__(self, other: "ULaurentRational") -> "ULaurentRational":
-        return ULaurentRational(
-            self.num * other.den + other.num * self.den,
-            self.den * other.den)
-
     def __mul__(self, other: "ULaurentRational") -> "ULaurentRational":
         return ULaurentRational(self.num * other.num, self.den * other.den)
 
     def scale(self, c) -> "ULaurentRational":
         return ULaurentRational(self.num.scale(c), self.den)
-
-    def eval_series(self, u: TruncatedSeries) -> TruncatedSeries:
-        den = self.den.eval_series(u)  # checks u before the numerator does
-        return self.num.eval_series(u).div(den)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +472,6 @@ def weight(s: Scheme) -> ULaurentRational:
     return _assemble([(Fraction(1, prof.k), *_weight_parts(prof))])
 
 
-def weight_series(s: Scheme, N: int) -> TruncatedSeries:
-    """Weight of one scheme expanded as a series in t."""
-    return weight(s).eval_series(series_U(N))
-
-
 @lru_cache(maxsize=None)
 def _profile_counts(g: int):
     return Counter(map(d_profile, iter_schemes(g)))
@@ -541,12 +484,6 @@ def rhat_exact(g: int) -> ULaurentRational:
     sum runs over profiles."""
     return _assemble((Fraction(count, prof.k), *_weight_parts(prof))
                      for prof, count in _profile_counts(g).items())
-
-
-def rhat(g: int, N: int) -> TruncatedSeries:
-    """Genus-g scheme weight sum, expanded as a series in t."""
-    u = series_U(N)  # judges N before the weight sum is built
-    return rhat_exact(g).eval_series(u)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +576,15 @@ def _weight_in_t(g: int):
     scale = math.lcm(*(c.denominator for c in nt))
     return (tuple(c.numerator * (scale // c.denominator) for c in nt),
             tuple(c.numerator for c in dt), scale)
+
+
+def rhat(g: int, N: int) -> TruncatedSeries:
+    """Genus-g scheme weight sum, expanded as a series in t. _poly_div
+    reads the numerator through term N, so it is cut or padded to that."""
+    _check_natural(N, "order")  # before the weight sum is built
+    num, den, scale = _weight_in_t(g)
+    x = _poly_div(list(num[:N + 1]) + [0] * (N + 1 - len(num)), den, N)
+    return TruncatedSeries("t", N, [Fraction(c, scale) for c in x])
 
 
 def series_Tg(g: int, N: int) -> TruncatedSeries:

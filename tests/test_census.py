@@ -101,7 +101,7 @@ class TestOneFaceMaps:
                    for m in iter_one_face_maps(n, genus, min_degree)]
             assert got == want
 
-    @pytest.mark.parametrize("min_degree", [0, -1])
+    @pytest.mark.parametrize("min_degree", [0, -1, 1.5, "3"])
     def test_min_degree_must_be_positive(self, min_degree):
         with pytest.raises(PreconditionError, match="min_degree"):
             list(iter_one_face_maps(3, 1, min_degree))
@@ -219,3 +219,14 @@ class TestBudgets:
     def test_bad_n(self):
         with pytest.raises(PreconditionError):
             enumerate_rooted_maps(0, 0)
+        # n must be an int >= 1 and genus None or an int >= 0
+        for call in (lambda: enumerate_quadrangulations(2.0),
+                     lambda: list(iter_rooted_maps(2.0)),
+                     lambda: list(iter_one_face_maps(2.0)),
+                     lambda: enumerate_rooted_maps(3, genus="x"),
+                     lambda: enumerate_rooted_maps(3, genus=1.0),
+                     lambda: enumerate_g_trees(3, -1),
+                     lambda: list(iter_rooted_maps(2, "x")),
+                     lambda: list(iter_one_face_maps(2, 0.0))):
+            with pytest.raises(PreconditionError, match="integer"):
+                call()

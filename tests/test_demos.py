@@ -1,4 +1,4 @@
-"""Each demo runs to completion with its default arguments; the demos
+"""Each demo, and README's Python quickstart, runs to completion; they
 assert their own claims, so exit status 0 means every claim held."""
 
 import subprocess
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
@@ -19,3 +20,13 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "896/9\n"

@@ -487,6 +487,13 @@ NON_INT_INDEX = {
     "predecessor": lambda m: predecessor(LabeledMap(m, (1, 2, 1)), 1.0),
     "delete_edges": lambda m: delete_edges(m, [1.0]),
     "delete_vertex_star": lambda m: delete_vertex_star(m, "2"),
+    "add_edge_in_face-high": lambda m: add_edge_in_face(m, 99, 1),
+    "add_edge_in_face-zero": lambda m: add_edge_in_face(m, 0, 0),
+    "add_edge_in_face-float": lambda m: add_edge_in_face(m, 1, 1.0),
+    "add_vertex_star-zero": lambda m: add_vertex_star(m, [0]),
+    "add_vertex_star-negative": lambda m: add_vertex_star(m, [-1]),
+    "add_vertex_star-high": lambda m: add_vertex_star(m, [9]),
+    "add_vertex_star-float": lambda m: add_vertex_star(m, [1.0]),
 }
 
 
@@ -495,6 +502,11 @@ NON_INT_INDEX = {
 def test_non_int_index_is_out_of_range(call):
     with pytest.raises(PreconditionError, match="out of range"):
         call(path_map())
+
+
+def test_random_rotation_map_needs_int_edges():
+    with pytest.raises(PreconditionError, match="integer number of edges"):
+        random_rotation_map(random.Random(0), 2.0)
 
 
 class TestValidate:

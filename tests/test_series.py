@@ -40,7 +40,6 @@ from surfmaps.series import (
     to_t_rational,
     u_symmetry_check,
     weight,
-    weight_series,
 )
 
 FIG8 = RotationMap((0, 3, 4, 2, 1), (0, 2, 1, 4, 3))
@@ -51,6 +50,20 @@ def digest(coeffs):
     """SHA-256 of the coefficients written as numerator/denominator."""
     text = ",".join(f"{c.numerator}/{c.denominator}" for c in coeffs)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def at_series(poly, x):
+    """The LaurentPoly poly (offset >= 0) at the series x, summed term
+    by term: the U-side reference the t-form expansions are held to."""
+    total = TruncatedSeries.zero(x.var, x.order)
+    for i, c in enumerate(poly.coeffs, poly.offset):
+        total = total + x.pow(i).scale(c)
+    return total
+
+
+def rational_at(r, x):
+    """The ULaurentRational r at the series x, through at_series."""
+    return at_series(r.num, x).div(at_series(r.den, x))
 
 
 def count_walks(length, end, nonneg=False):
@@ -242,7 +255,7 @@ class TestMotzkinFamily:
     def test_B_closed_form_in_U(self):
         closed = ULaurentRational(LaurentPoly(1, (1, 2)),
                                   LaurentPoly(0, (1, 0, -1)))
-        assert closed.eval_series(series_U(10)) == series_B(10)
+        assert rational_at(closed, series_U(10)) == series_B(10)
 
     def test_M_coefficients(self):
         assert series_M(2, 4).coeffs == (0, 0, 1, 3, 10)
@@ -372,14 +385,18 @@ class TestSchemeWeights:
                * LaurentPoly(0, (1, 1)).pow(3))
         assert weight(s3) == ULaurentRational(num, den)
 
-    def test_weight_series(self):
-        s1 = Scheme(FIG8, (0,))
-        assert weight_series(s1, 4).coeffs == (0, 0, F(1, 2), 3, F(23, 2))
-
 
 class TestRhat:
     def test_genus_one_series(self):
         assert rhat(1, 4).coeffs == (0, 0, F(1, 2), 4, F(37, 2))
+
+    def test_genus_one_pinned(self):
+        # pinned from the Fraction Horner evaluation of rhat_exact(1) at U
+        r = rhat(1, 60)
+        assert all(type(c) is F for c in r.coeffs)
+        assert r.coeffs[-1] == F(415080091444825326077466325093, 2)
+        assert digest(r.coeffs) == (
+            "b8a1b29a5037b6972d909c7c30ed40f5726053360148805f1fe27d6001834c55")
 
     def test_genus_one_closed_form(self):
         nt, dt = to_t_rational(rhat_exact(1))
@@ -396,10 +413,10 @@ class TestRhat:
         assert u_symmetry_check(rhat_exact(1))
 
     def test_matches_sum_of_weights(self):
+        U = series_U(8)
         total = TruncatedSeries.zero("t", 8)
-        from surfmaps.schemes import enumerate_schemes
         for s in enumerate_schemes(1):
-            total = total + weight_series(s, 8)
+            total = total + rational_at(weight(s), U)
         assert total == rhat(1, 8)
 
 
@@ -457,7 +474,7 @@ class TestAtZT2:
         p = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(12)] + [7]
         got = _at_zT2(p, self.N)
         assert all(type(c) is int for c in got)
-        assert got == list(LaurentPoly(0, p).eval_series(self.zT2()).coeffs)
+        assert got == list(at_series(LaurentPoly(0, p), self.zT2()).coeffs)
 
     @pytest.mark.parametrize("dt", [(F(2), F(1)), (F(1), F(1, 2))],
                              ids=["constant-term", "non-integer"])
@@ -539,6 +556,17 @@ class TestGenusTwo:
             "5cc7f98000b4e37a7db5a566193bcc847745582eae1f8cc69bbd9382dd51cfc9")
         assert digest(r.den.coeffs) == (
             "831fe58ff38183476be37bf1867e240d9d570779e20694520c8cfba44258c621")
+
+    def test_rhat_series_pinned(self):
+        # pinned from the Fraction Horner evaluation of rhat_exact(2) at U
+        r = rhat(2, 30)
+        assert all(type(c) is F for c in r.coeffs)
+        assert r.coeffs[:8] == (0, 0, 0, 0, F(21, 4), F(819, 5), 2325, 23163)
+        assert digest(r.coeffs) == (
+            "76d013c402170fd2b292a24ca11d22229d1643ccba02f3c1237d5a7ceb1a1ae2")
+
+    def test_rhat_matches_U_side(self):
+        assert rhat(2, 20) == rational_at(rhat_exact(2), series_U(20))
 
     def test_profile_counts_pinned(self):
         counts = _profile_counts(2)
