@@ -42,7 +42,6 @@ from .rotmap import (
     Corner,
     RotationMap,
     _check_index,
-    _cycles,
     _draw_edge,
     _draw_star,
     _restrict_to_darts,
@@ -234,38 +233,34 @@ def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
             "along every edge")
     n_darts0 = m.n_darts
 
-    # the label-1 star goes into the same dart lists as the chords; its
-    # corners come from the face walk, so they are distinct and in order
-    ones = [c for c in face_corners(m, m.root) if t.label_of(c) == 1]
+    # The label-1 corners cut the face walk into pieces: piece i runs from
+    # just after cut i-1 to cut i, cyclically. Labels move by at most 1 per
+    # corner, so every other corner's predecessor lies in its own piece.
+    walk = face_corners(m, m.root)
+    labels, vi = t.labels, m.vertex_index
+    cuts = [i for i, c in enumerate(walk) if labels[vi[c]] == 1]
+    pieces = [walk[cuts[j - 1] + 1:i + 1] if j else
+              walk[cuts[-1] + 1:] + walk[:i + 1] for j, i in enumerate(cuts)]
+    # the star closes each piece into one face, whose tree darts are alpha
+    # of the piece's corners; faces take their chords in order of their
+    # least dart
+    pieces.sort(key=lambda piece: min(m.alpha[c] for c in piece))
+    # the star goes into the same dart lists as the chords
     sig, alf = list(m.sigma), list(m.alpha)
-    _draw_star(sig, alf, ones)
-    n_star = len(sig) - 1
+    _draw_star(sig, alf, [walk[i] for i in cuts])
     v0_dart = n_darts0 + 2
-    _, tvi = _cycles(sig, n_star, "sigma")
-    faces, _ = _cycles([sig[a] for a in alf], n_star, "phi")
-    # the star splits the one face at each of its corners
-    if len(faces) != len(ones):
-        raise InternalCheckError("star insertion changed the surface")
-    v0_idx = tvi[v0_dart]
-    vlab = t.labels + (0,)
 
     # far dart of the latest chord that landed at each corner
     last = {}
-    for f in faces:
-        corners = [alf[x] for x in f]
-        i0 = next(i for i, c in enumerate(corners) if tvi[c] == v0_idx)
-        listing = corners[i0:] + corners[:i0]
-        inner = listing[2:-1]
-        if any(vlab[tvi[c]] < 2 for c in inner):
-            raise InternalCheckError("corner below 2 strictly inside a face")
+    for piece in pieces:
         # One backward pass: a corner's predecessor is the nearest later
         # corner labeled one less. Chords go in reverse walk order, so each
         # corner's own chord is in place before later chords land next to
         # it, and a chord landing where others already did goes right after
         # the latest of them, which is where the growing face meets it.
-        nearest = {vlab[tvi[listing[-1]]]: listing[-1]}
-        for c in reversed(inner):
-            lab = vlab[tvi[c]]
+        nearest = {1: piece[-1]}
+        for c in reversed(piece[:-1]):
+            lab = labels[vi[c]]
             p = nearest.get(lab - 1)
             if p is None:
                 raise InternalCheckError(
@@ -273,8 +268,8 @@ def _close_core(t: LabeledMap, sign: int = 1) -> PointedQuad:
             last[p] = _draw_edge(sig, alf, c, last.get(p, p)) + 1
             nearest[lab] = c
     cur = RotationMap(sig, alf, m.root)
-    # each chord splits one face
-    if (cur.n_faces != len(faces) + (cur.n_darts - n_star) // 2
+    # the star makes one face per cut and each chord splits one more
+    if (cur.n_faces != (cur.n_darts - n_darts0) // 2
             or cur.genus != m.genus):
         raise InternalCheckError("closure chords changed the surface")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .errors import BudgetError, PreconditionError
@@ -55,6 +56,15 @@ def _check_budget(n: int, genus: int | None, what: str) -> None:
         raise BudgetError(
             f"census of {what} at n={n}, genus={genus} exceeds the budget "
             f"of {cap}; set {MAX_N_ENV} to raise it")
+
+
+def _check_tree_budget(n: int, genus: int, what: str) -> None:
+    """The gate on a tree census, which is per genus: as _check_budget,
+    with genus None refused."""
+    if genus is None:
+        raise PreconditionError(f"{what} at n={n} need an integer genus "
+                                f">= 0, got genus None")
+    _check_budget(n, genus, what)
 
 
 # -- all rooted maps ---------------------------------------------------------
@@ -144,7 +154,11 @@ def enumerate_rooted_maps(n_edges: int,
 
 def iter_one_face_maps(n_edges: int, genus: int | None = None,
                        min_degree: int = 1) -> Iterator[RotationMap]:
-    """Stream all rooted one-face maps with n edges, each exactly once.
+    """All rooted one-face maps with n edges, each exactly once.
+
+    The search fills a list and yields only once it ends, so the first
+    map comes no sooner than the last; a generator inside the search
+    read slower at genus 3.
 
     genus filters by vertex count; min_degree prunes any rotation cycle
     that closes below it, which is what makes degree-constrained runs
@@ -246,66 +260,41 @@ def _one_face_cached(n_edges: int,
 
 def enumerate_g_trees(n_edges: int, genus: int) -> list[RotationMap]:
     """All rooted one-face maps of the given genus, budget-checked."""
-    _check_budget(n_edges, genus, "one-face maps")
+    _check_tree_budget(n_edges, genus, "one-face maps")
     return list(_one_face_cached(n_edges, genus))
 
 
 # -- labelings ---------------------------------------------------------------
 
 
-def _spanning_tree(m: RotationMap):
-    """Breadth-first spanning tree from the root vertex.
-
-    Returns (vertex order, dart from parent into each non-root vertex,
-    per-dart tree-edge flags)."""
-    vi = m.vertex_index
-    seen = [False] * m.n_vertices
-    order = [vi[m.root]]
-    seen[order[0]] = True
-    entry_dart = [0] * m.n_vertices
-    tree = [False] * (m.n_darts + 1)
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for d in m.vertices[v]:
-            w = vi[m.alpha[d]]
-            if not seen[w]:
-                seen[w] = True
-                tree[d] = tree[m.alpha[d]] = True
-                entry_dart[w] = d
-                order.append(w)
-    return order, entry_dart, tree
-
-
 def _iter_relative_labelings(m: RotationMap) -> Iterator[tuple[int, ...]]:
     """All vertex labelings with every edge variation in {-1,0,+1}, up to
     translation: the root vertex is pinned at 0. Yields label tuples
-    indexed like m.vertices."""
-    order, entry_dart, tree = _spanning_tree(m)
+    indexed like m.vertices.
+
+    One breadth-first pass from the root vertex gives a spanning tree.
+    Every step along its edges, in breadth-first order, is a candidate,
+    kept when each other edge varies by at most 1."""
     vi = m.vertex_index
-    pos = {v: i for i, v in enumerate(order)}
-    # a non-tree edge becomes checkable once its later endpoint is labeled
-    checks: list[list[tuple[int, int]]] = [[] for _ in order]
-    for d, ad in m.edges:
-        if not tree[d]:
-            a, b = vi[d], vi[ad]
-            checks[max(pos[a], pos[b])].append((a, b))
+    parent = [None] * m.n_vertices
+    order = [vi[m.root]]
+    parent[order[0]] = order[0]
+    tree = [False] * (m.n_darts + 1)
+    for v in order:
+        for d in m.vertices[v]:
+            w = vi[m.alpha[d]]
+            if parent[w] is None:
+                parent[w] = v
+                tree[d] = tree[m.alpha[d]] = True
+                order.append(w)
+    others = [(vi[d], vi[e]) for d, e in m.edges if not tree[d]]
     labels = [0] * m.n_vertices
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
+    for steps in product((-1, 0, 1), repeat=len(order) - 1):
+        # breadth-first order labels each parent before its children
+        for w, step in zip(order[1:], steps):
+            labels[w] = labels[parent[w]] + step
+        if all(abs(labels[a] - labels[b]) <= 1 for a, b in others):
             yield tuple(labels)
-            return
-        w = order[i]
-        base = labels[vi[entry_dart[w]]]
-        for delta in (-1, 0, 1):
-            labels[w] = base + delta
-            if all(abs(labels[a] - labels[b]) <= 1 for a, b in checks[i]):
-                yield from rec(i + 1)
-
-    # step 0 constraints can only be loops at the root, always satisfied
-    yield from rec(1)
 
 
 def _embedded_trees(n_edges: int, genus: int) -> Iterator[LabeledMap]:
@@ -329,13 +318,13 @@ def _embedded_trees_cached(n_edges: int, genus: int) -> tuple[LabeledMap, ...]:
 def enumerate_well_labeled_trees(n_edges: int, genus: int) -> list[LabeledMap]:
     """All rooted one-face maps of the genus with labels varying by at most
     1 along every edge, minimum label 1, and the root vertex labeled 1."""
-    _check_budget(n_edges, genus, "well-labeled one-face maps")
+    _check_tree_budget(n_edges, genus, "well-labeled one-face maps")
     return list(_wl_trees_cached(n_edges, genus))
 
 
 def enumerate_embedded_trees(n_edges: int, genus: int) -> list[LabeledMap]:
     """Same maps, labels varying by at most 1, root vertex labeled 1."""
-    _check_budget(n_edges, genus, "embedded one-face maps")
+    _check_tree_budget(n_edges, genus, "embedded one-face maps")
     return list(_embedded_trees_cached(n_edges, genus))
 
 
@@ -390,6 +379,7 @@ def iter_quadrangulations_direct(n_faces: int,
     """Filter every rooted map with 2*n_faces edges for quadrangular faces
     and bipartiteness. Independent of the correspondence used by
     enumerate_quadrangulations, so the two can cross-check each other."""
+    _check_size(n_faces, genus, "quadrangulations")
     for m in iter_rooted_maps(2 * n_faces, genus):
         if all(len(f) == 4 for f in m.faces) and _is_bipartite(m):
             yield m

@@ -180,7 +180,7 @@ def _cmd_schemes(args) -> int:
         items = (dominant_schemes(args.genus) if args.dominant
                  else enumerate_schemes(args.genus))
     first = True
-    for s in sorted(items, key=lambda s: s.sort_key()):
+    for s in items:
         if not first:
             print()
         first = False

@@ -83,12 +83,9 @@ def _tree_from_choices(word, steps) -> LabeledMap:
     for e in range(1, n + 1):
         alpha[2 * e - 1] = 2 * e
         alpha[2 * e] = 2 * e - 1
-    m = RotationMap(tuple(sigma), tuple(alpha))
-
-    by_map_vertex = [0] * (n + 1)
-    for mine, darts in enumerate(orbits):
-        by_map_vertex[m.vertex_index[darts[0]]] = labels[mine]
-    return LabeledMap(m, tuple(by_map_vertex))
+    # vertex w's least dart is 2w (dart 1 for the root), so the map numbers
+    # the vertices in creation order and the labels need no reindexing
+    return LabeledMap(RotationMap(tuple(sigma), tuple(alpha)), tuple(labels))
 
 
 def sample_embedded_tree(n: int, seed: Seed = None, genus: int = 0) -> LabeledMap:

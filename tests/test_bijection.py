@@ -333,6 +333,29 @@ class TestPinnedDartArrays:
         assert t.labels == self.TREE_LABELS
         assert s == sign
 
+    # Genus 1, root a leaf labeled 1 and every other label 2 or 3: the one
+    # label-1 corner leaves a single piece, which wraps the whole walk.
+    ONE_CORNER = LabeledMap(
+        RotationMap((0, 1, 5, 7, 3, 8, 4, 6, 2), (0, 8, 4, 6, 2, 7, 3, 5, 1)),
+        (1, 2, 3))
+    ONE_CORNER_SIGMA = (0, 4, 2, 15, 10, 7, 8, 11, 3, 6, 16, 13, 14, 5, 9,
+                        12, 1)
+    # Genus 1, every label 1: each piece is one corner, with nothing inside.
+    ALL_ONES = LabeledMap(
+        RotationMap((0, 3, 2, 6, 1, 4, 5), (0, 2, 1, 5, 6, 3, 4)), (1, 1))
+    ALL_ONES_SIGMA = (0, 1, 12, 9, 2, 11, 4, 5, 6, 7, 8, 3, 10)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("tree,sigma,root", [
+        (ONE_CORNER, ONE_CORNER_SIGMA, 2), (ALL_ONES, ALL_ONES_SIGMA, 12)])
+    def test_closure_edge_pieces(self, tree, sigma, root, sign):
+        pq = close_rooted_pointed(tree, sign)
+        # sign -1 roots at the other arc of the same edge
+        want_root = root if sign == 1 else self.paired(len(sigma) - 1)[root]
+        assert (pq.quad.sigma, pq.quad.alpha, pq.quad.root) == (
+            sigma, self.paired(len(sigma) - 1), want_root)
+        assert pq.basepoint == 1
+
 
 @pytest.mark.parametrize("n", [2 ** 8, 2 ** 10, 2 ** 12])
 def test_large_planar_roundtrips(n):

@@ -1,5 +1,6 @@
 """Census generators against hand and formula oracles."""
 
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -13,6 +14,7 @@ from surfmaps import (
     enumerate_rooted_maps,
     enumerate_well_labeled_trees,
     iter_one_face_maps,
+    iter_quadrangulations_direct,
     iter_rooted_maps,
 )
 from surfmaps.census import _max_n
@@ -182,6 +184,29 @@ class TestLabeledTrees:
         assert len({t.canonical_key() for t in wl}) == len(wl)
         assert len({t.canonical_key() for t in emb}) == len(emb)
 
+    # SHA-256 over the exact arrays and labels of every listed tree, in
+    # enumeration order, at the desk census sizes and at (4, 2)
+    LIST_SIZES = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (2, 1), (3, 1),
+                  (4, 1), (4, 2)]
+    LIST_DIGESTS = {
+        "enumerate_embedded_trees": (
+            "f081d2c545384e66636a819acf929490"
+            "83b44387a8b79e16497cfe9d306cb74b"),
+        "enumerate_well_labeled_trees": (
+            "af497369f6ea04834de824eb800ef426"
+            "4d5735bf0d36c64eec4916ef5443be93"),
+    }
+
+    @pytest.mark.parametrize("census", [enumerate_embedded_trees,
+                                        enumerate_well_labeled_trees])
+    def test_lists_are_pinned(self, census):
+        h = hashlib.sha256()
+        for n, g in self.LIST_SIZES:
+            for t in census(n, g):
+                h.update(repr((t.map.sigma, t.map.alpha, t.map.root,
+                               t.labels)).encode())
+        assert h.hexdigest() == self.LIST_DIGESTS[census.__name__]
+
 
 class TestBudgets:
     def test_over_budget(self):
@@ -227,6 +252,17 @@ class TestBudgets:
                      lambda: enumerate_rooted_maps(3, genus=1.0),
                      lambda: enumerate_g_trees(3, -1),
                      lambda: list(iter_rooted_maps(2, "x")),
-                     lambda: list(iter_one_face_maps(2, 0.0))):
+                     lambda: list(iter_one_face_maps(2, 0.0)),
+                     # the tree censuses are per genus: no genus None
+                     lambda: enumerate_g_trees(3, None),
+                     lambda: enumerate_well_labeled_trees(3, None),
+                     lambda: enumerate_embedded_trees(3, None)):
             with pytest.raises(PreconditionError, match="integer"):
                 call()
+
+    def test_direct_quadrangulations_report_their_own_size(self):
+        # the face count is judged as given, not as the doubled edge count
+        # of the maps the filter walks
+        with pytest.raises(PreconditionError,
+                           match=r"quadrangulations needs .* got 2\.0"):
+            list(iter_quadrangulations_direct(2.0))
