@@ -116,6 +116,11 @@ class Scheme:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not isinstance(self.shape, RotationMap):
+            raise PreconditionError(
+                f"scheme shape must be a RotationMap, got {self.shape!r}")
+        if not all(isinstance(x, int) for x in self.labels):
+            raise PreconditionError("scheme labels must be integers")
         _check_shape(self.shape)
         q = self.shape.n_vertices
         if len(self.labels) != q:
@@ -158,7 +163,8 @@ class MotzkinWalk:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        if any(s not in (-1, 0, 1) for s in self.steps):
+        if not all(isinstance(s, int) and s in (-1, 0, 1)
+                   for s in self.steps):
             raise PreconditionError("walk steps must be -1, 0 or +1")
 
     @property
@@ -481,18 +487,23 @@ def enumerate_schemes(g: int) -> list[Scheme]:
 
 def dominant_schemes(g: int) -> list[Scheme]:
     """The schemes with 4g-2 degree-3 vertices, all labels distinct.
-    These carry the dominant weight in the counting series."""
+    These carry the dominant weight in the counting series.
+
+    The list is in Scheme.sort_key order without a sort: every dominant
+    scheme has k = 6g-3; every shape is rooted at dart 1, so distinct
+    shapes differ in (sigma, alpha) and are taken in that order; and
+    itertools.permutations yields each shape's labels in lexicographic
+    order."""
     _check_genus(g)
     k = 6 * g - 3
     out = []
-    for shape in _shapes(k, g):
+    for shape in sorted(_shapes(k, g), key=lambda m: (m.sigma, m.alpha)):
         _check_shape(shape)
         # at the maximal edge count the degree identity forces all 3s
         if any(len(orb) != 3 for orb in shape.vertices):
             raise InternalCheckError("non-cubic shape at maximal edge count")
         out.extend(_trusted_scheme(shape, perm) for perm in
                    itertools.permutations(range(shape.n_vertices)))
-    out.sort(key=Scheme.sort_key)
     return out
 
 
@@ -560,3 +571,27 @@ def d_profile(s: Scheme) -> DProfile:
     k = len(ends)
     row = _packed_row(labels, k.bit_length())
     return _unpacked_profile(sum(_edge_entries(ends, len(labels))(row)), k)
+
+
+def _profile_groups(schemes) -> list[tuple[Scheme, int]]:
+    """One (first scheme, count) per distinct d-profile among schemes,
+    in first-seen order: d_profile of the first scheme is the group's
+    profile. The edge-entry getter and field width are read once per
+    run of consecutive schemes on the same shape."""
+    # for a fixed k, the packed sum and the DProfile determine each other
+    groups: dict[tuple[int, int], list] = {}
+    shape = None
+    for s in schemes:
+        if s.shape is not shape:
+            shape = s.shape
+            ends = shape.edge_ends
+            k = len(ends)
+            width = k.bit_length()
+            pick = _edge_entries(ends, shape.n_vertices)
+        key = (k, sum(pick(_packed_row(s.labels, width))))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [s, 1]
+        else:
+            group[1] += 1
+    return [(rep, n) for rep, n in groups.values()]

@@ -47,6 +47,7 @@ from .schemes import (
     d_profile,
     dominant_schemes,
     iter_schemes,
+    _profile_groups,
 )
 
 __all__ = [
@@ -474,7 +475,8 @@ def weight(s: Scheme) -> ULaurentRational:
 
 @lru_cache(maxsize=None)
 def _profile_counts(g: int):
-    return Counter(map(d_profile, iter_schemes(g)))
+    return Counter({d_profile(rep): n
+                    for rep, n in _profile_groups(iter_schemes(g))})
 
 
 @lru_cache(maxsize=None)
@@ -635,8 +637,9 @@ def tau(g: int) -> Fraction:
     Genus bounds are delegated to the scheme layer: g < 1 is a
     precondition failure, large g trips the genus budget guard.
     """
-    levels: CounterT = Counter(d_profile(s).d_levels
-                               for s in dominant_schemes(g))
+    levels: CounterT = Counter()
+    for rep, n in _profile_groups(dominant_schemes(g)):
+        levels[d_profile(rep).d_levels] += n
     total = Fraction(0)
     for d_levels, count in levels.items():
         if len(d_levels) != 4 * g - 3:

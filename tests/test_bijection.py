@@ -457,23 +457,31 @@ def test_maps_built_per_call_do_not_grow_with_size(builds):
         "pointed_key": 0, "rooted_pointed_key": 0}
 
 
-# SHA-256 over the text of close(t) and its basepoint, for every
-# well-labeled tree of the desk censuses in enumeration order: a pin on
-# the exact dart numbering of closures, which `surfmaps close` prints.
+# SHA-256 over the text of close(t) and its basepoint, and over its
+# dart arrays and root, for every well-labeled tree of the desk
+# censuses in enumeration order. write_map_text renumbers darts before
+# printing; the second digest pins the exact dart numbering of
+# closures, which `surfmaps close` prints.
 DESK_CENSUSES = [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (2, 1), (3, 1),
                  (4, 1)]
 CLOSURE_DIGEST = ("bfc81a13c4e4f4c497077dcc095d6bbc"
                   "f62459824d59ff51a65695aade664c90")
+CLOSURE_DART_DIGEST = ("cca87a64638cae3861496c29bba6457c"
+                       "bff43d984137778726f3bb95ccf77479")
 
 
 def test_closure_texts_are_pinned():
     h = hashlib.sha256()
+    darts = hashlib.sha256()
     for n, g in DESK_CENSUSES:
         for t in enumerate_well_labeled_trees(n, g):
             pq = close(t)
-            h.update(write_map_text(pq.quad).encode())
+            q = pq.quad
+            h.update(write_map_text(q).encode())
             h.update(f"basepoint {pq.basepoint}\n".encode())
+            darts.update(repr((q.sigma, q.alpha, q.root)).encode())
     assert h.hexdigest() == CLOSURE_DIGEST
+    assert darts.hexdigest() == CLOSURE_DART_DIGEST
 
 
 def test_each_result_is_checked_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Core reduction, scheme extraction, and scheme generation."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -215,8 +216,18 @@ class TestSchemeType:
             Scheme(theta, (0, 2))
 
     def test_walk_steps_checked(self):
-        with pytest.raises(PreconditionError, match="steps"):
-            MotzkinWalk((0, 2))
+        for steps in ((0, 2), (1.0,), (0, None)):
+            with pytest.raises(PreconditionError, match="steps"):
+                MotzkinWalk(steps)
+
+    def test_needs_integer_labels(self, theta):
+        for labels in ((0.0, 1), (0, 1.0), ("a", "b"), (None, 0)):
+            with pytest.raises(PreconditionError, match="integers"):
+                Scheme(theta, labels)
+
+    def test_needs_rotation_map_shape(self):
+        with pytest.raises(PreconditionError, match="RotationMap"):
+            Scheme("x", (0,))
 
 
 class TestEnumeration:
@@ -388,6 +399,22 @@ class TestGenusTwo:
     def test_shape_counts_by_edges(self):
         counts = {k: len(_shapes(k, 2)) for k in range(4, 10)}
         assert counts == {4: 21, 5: 168, 6: 483, 7: 651, 8: 420, 9: 105}
+
+    # SHA-256 over (sigma, alpha, labels) of each dominant scheme in
+    # list order, pinned from the list sorted by Scheme.sort_key
+    DOMINANT_DIGESTS = {
+        1: "5d4f6bb4879e11e7966c50633d316f22c7edf63be7b0ea1308509ad994039235",
+        2: "501d15a7e6a13d27483e040adc177db36bfab2c350adf884d6e0fcea8e1b9e47",
+    }
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_dominant_order_pinned(self, g):
+        dom = dominant_schemes(g)
+        assert dom == sorted(dom, key=Scheme.sort_key)
+        h = hashlib.sha256()
+        for s in dom:
+            h.update(repr((s.shape.sigma, s.shape.alpha, s.labels)).encode())
+        assert h.hexdigest() == self.DOMINANT_DIGESTS[g]
 
     def test_dominant_count_matches_cubic_formula(self):
         dom = dominant_schemes(2)

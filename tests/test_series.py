@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ import surfmaps.series
 from surfmaps import BudgetError, InternalCheckError, PreconditionError, RotationMap
 from surfmaps.schemes import (
     Scheme,
+    d_profile,
     dominant_schemes,
     enumerate_schemes,
     iter_schemes,
@@ -581,11 +583,13 @@ class TestGenusTwo:
 class TestWorkCounts:
     def test_scheme_streams_are_walked(self, monkeypatch):
         """_profile_counts streams iter_schemes and tau takes
-        dominant_schemes, both calling d_profile per scheme through the
-        series module's names; the benchmark's traced runs count those
-        calls, so a shortcut around them must fail here first."""
+        dominant_schemes, both calling d_profile through the series
+        module's names, once per distinct profile; the benchmark's
+        traced runs count the streamed schemes, the dominant list's
+        length and the distinct d_profile results, so a shortcut around
+        those names must fail here first."""
         S = surfmaps.series
-        seen = {"schemes": 0, "d_profile": 0, "dominant": []}
+        seen = {"schemes": 0, "profiles": set(), "dominant": []}
         iter_schemes, d_profile = S.iter_schemes, S.d_profile
         dominant = S.dominant_schemes
 
@@ -595,8 +599,9 @@ class TestWorkCounts:
                 yield s
 
         def counted_d_profile(s):
-            seen["d_profile"] += 1
-            return d_profile(s)
+            prof = d_profile(s)
+            seen["profiles"].add(prof)
+            return prof
 
         def counted_dominant(g):
             out = dominant(g)
@@ -608,11 +613,28 @@ class TestWorkCounts:
         monkeypatch.setattr(S, "dominant_schemes", counted_dominant)
         S._profile_counts.cache_clear()
         try:
-            S._profile_counts(1)
+            profiles = set(S._profile_counts(1))
             S.tau(1)
         finally:
             S._profile_counts.cache_clear()
-        assert seen == {"schemes": 4, "d_profile": 4 + 2, "dominant": [2]}
+        assert len(profiles) == 3
+        assert seen == {"schemes": 4, "profiles": profiles, "dominant": [2]}
+
+
+class TestProfileGroups:
+    """The grouped profile counts against the reference of one
+    d_profile call per scheme."""
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_profile_counts_match_per_scheme(self, g):
+        want = Counter(map(d_profile, iter_schemes(g)))
+        assert list(_profile_counts(g).items()) == list(want.items())
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_tau_matches_per_scheme(self, g):
+        want = sum(F(1, math.prod(d_profile(s).d_levels))
+                   for s in dominant_schemes(g))
+        assert tau(g) == want
 
 
 class TestTrend:
