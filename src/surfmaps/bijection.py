@@ -32,7 +32,6 @@ from .labeling import (
     LabeledMap,
     _restrict_labeled,
     distance_labels,
-    is_embedded,
     is_well_labeled,
     relabel_nu,
     shift_min_1,
@@ -305,8 +304,7 @@ def close_rooted_pointed(t: LabeledMap, sign: int) -> PointedQuad:
     """Close an embedded one-face map with a sign choosing the root arc."""
     if sign not in (1, -1):
         raise PreconditionError(f"sign must be +1 or -1, got {sign}")
-    if not is_embedded(t):
-        raise PreconditionError(
-            "rooted pointed closure needs root label 1 and variations "
-            "of at most 1")
+    if t.root_label != 1:
+        raise PreconditionError("rooted pointed closure needs root label 1")
+    # a shift keeps the variations, which _close_core checks
     return _close_core(shift_min_1(t), sign)

@@ -26,17 +26,24 @@ _ALL_GENERA_BUDGET = 5
 MAX_N_ENV = "SURFMAPS_MAX_N"
 
 
+def _env_cap(name: str, default: int) -> int:
+    """The integer cap set in environment variable ``name``, else
+    ``default``; BudgetError if it is set to anything but an integer."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetError(f"{name} must be an integer, got {raw!r}")
+
+
 def _max_n(genus: int | None) -> int:
-    override = os.environ.get(MAX_N_ENV)
-    if override is not None:
-        try:
-            return int(override)
-        except ValueError:
-            raise BudgetError(
-                f"{MAX_N_ENV} must be an integer, got {override!r}")
     if genus is None:
-        return _ALL_GENERA_BUDGET
-    return DEFAULT_BUDGETS.get(genus, min(DEFAULT_BUDGETS.values()))
+        default = _ALL_GENERA_BUDGET
+    else:
+        default = DEFAULT_BUDGETS.get(genus, min(DEFAULT_BUDGETS.values()))
+    return _env_cap(MAX_N_ENV, default)
 
 
 def _check_size(n: int, genus: int | None, what: str) -> None:

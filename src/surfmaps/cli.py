@@ -175,16 +175,16 @@ def _cmd_close(args) -> int:
     return 0
 
 
+def _write_maps(texts) -> None:
+    """Write map documents to stdout, a blank line between two."""
+    sys.stdout.write("\n".join(texts))
+
+
 def _cmd_schemes(args) -> int:
     with _env_override(MAX_GENUS_ENV, args.max_genus):
         items = (dominant_schemes(args.genus) if args.dominant
                  else enumerate_schemes(args.genus))
-    first = True
-    for s in items:
-        if not first:
-            print()
-        first = False
-        sys.stdout.write(write_map_text(s.shape, s.labels))
+    _write_maps(write_map_text(s.shape, s.labels) for s in items)
     return 0
 
 
@@ -232,15 +232,10 @@ def _cmd_census(args) -> int:
     if args.count_only:
         print(len(items))
         return 0
-    first = True
-    for item in items:
-        if not first:
-            print()
-        first = False
-        if what == "wltrees":
-            sys.stdout.write(write_map_text(item.map, item.labels))
-        else:
-            sys.stdout.write(write_map_text(item))
+    if what == "wltrees":
+        _write_maps(write_map_text(t.map, t.labels) for t in items)
+    else:
+        _write_maps(map(write_map_text, items))
     return 0
 
 

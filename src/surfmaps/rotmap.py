@@ -92,6 +92,20 @@ def _check_index(what: str, x, lo: int, hi: int) -> None:
         raise PreconditionError(f"{what} {x!r} is out of range")
 
 
+def _check_alpha(alpha: Sequence[int], n: int) -> None:
+    """Raise StructureError unless ``alpha`` is a fixed-point-free
+    involution of the darts 1..n; slot 0 is not read.  Such an involution
+    is a permutation, so no second check is needed."""
+    for d in range(1, n + 1):
+        a = alpha[d]
+        if not (isinstance(a, int) and 0 < a <= n):
+            raise StructureError(f"alpha[{d}] = {a!r} is out of range")
+        if a == d:
+            raise StructureError(f"alpha fixes dart {d}")
+        if alpha[a] != d:
+            raise StructureError(f"alpha is not an involution at dart {d}")
+
+
 def _check_permutation(perm: Sequence[int], n_darts: int, name: str) -> None:
     if len(perm) != n_darts + 1:
         raise StructureError(
@@ -137,15 +151,7 @@ class RotationMap:
         if sigma[0] != 0 or alpha[0] != 0:
             raise StructureError("slot 0 of sigma and alpha must hold 0")
         vertices, vertex_index = _cycles(sigma, n, "sigma")
-        # a fixed-point-free involution is a permutation: no second check
-        for d in range(1, n + 1):
-            a = alpha[d]
-            if not (isinstance(a, int) and 0 < a <= n):
-                raise StructureError(f"alpha[{d}] = {a!r} is out of range")
-            if a == d:
-                raise StructureError(f"alpha fixes dart {d}")
-            if alpha[a] != d:
-                raise StructureError(f"alpha is not an involution at dart {d}")
+        _check_alpha(alpha, n)
         if not (isinstance(root, int) and 0 < root <= n):
             raise StructureError(f"root dart {root!r} is not an int in 1..{n}")
         # Connectivity: the vertices joined by alpha form one component.
@@ -558,17 +564,17 @@ def validate(sigma: Sequence[int], alpha: Sequence[int],
     """
     n = len(sigma)
 
-    def is_perm(arr: Sequence[int]) -> bool:
+    def passes(check, *args) -> bool:
         try:
-            _check_permutation((0,) + tuple(arr), n, "array")
+            check(*args)
         except StructureError:
             return False
         return True
 
-    sigma_ok = n > 0 and n % 2 == 0 and is_perm(sigma)
-    alpha_ok = (n > 0 and n % 2 == 0 and is_perm(alpha)
-                and all(alpha[alpha[d - 1] - 1] == d and alpha[d - 1] != d
-                        for d in range(1, n + 1)))
+    even = n > 0 and n % 2 == 0
+    sigma_ok = even and passes(_cycles, (0,) + tuple(sigma), n, "sigma")
+    alpha_ok = (even and len(alpha) == n
+                and passes(_check_alpha, (0,) + tuple(alpha), n))
     root_ok = isinstance(root, int) and 1 <= root <= n
     if not (sigma_ok and alpha_ok and root_ok):
         return MapDiagnostics(n, sigma_ok, alpha_ok, root_ok, False)

@@ -8,18 +8,24 @@ least 3, its vertices carrying the distinct chain-end labels squashed to
 an integer interval. The labels along each contracted chain form a
 Motzkin walk. Scheme shapes of a given genus are finitely many, which
 turns questions about all one-face labeled maps into finite sums.
+
+Both steps read the decomposition off walks they already make. The
+reduction walks the one face once: cut at the core corners, the walk
+falls into one piece per core corner, holding the darts of the trees
+hanging there, in the order the attachments are kept. The extraction
+walks each chain once from its branch dart, and the chain that passes
+through the core root names the shape root.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .census import iter_one_face_maps
+from .census import _env_cap, iter_one_face_maps
 from .errors import BudgetError, InternalCheckError, PreconditionError
 from .labeling import LabeledMap, _restrict_labeled
 from .rotmap import RotationMap, face_corners
@@ -33,23 +39,13 @@ MAX_GENUS_ENV = "SURFMAPS_MAX_SCHEME_GENUS"
 _DEFAULT_MAX_GENUS = 2
 
 
-def _max_genus() -> int:
-    raw = os.environ.get(MAX_GENUS_ENV)
-    if raw is None:
-        return _DEFAULT_MAX_GENUS
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetError(f"{MAX_GENUS_ENV} must be an integer, got {raw!r}")
-
-
 def _check_genus(g: int) -> None:
     if not isinstance(g, int):
         raise PreconditionError(f"genus must be an integer, got {g!r}")
     if g < 1:
         raise PreconditionError(
             "schemes exist for genus 1 and up; the planar case has no core")
-    cap = _max_genus()
+    cap = _env_cap(MAX_GENUS_ENV, _DEFAULT_MAX_GENUS)
     if g > cap:
         raise BudgetError(
             f"genus {g} exceeds the scheme generation cap {cap}; "
@@ -213,26 +209,16 @@ class SchemeDecomposition:
 # -- reduction ---------------------------------------------------------------
 
 
-def _pendant_subtree(m: RotationMap, seeds: list[int]) -> list[int]:
-    """All darts of the trees hanging below the given same-corner darts."""
-    result = []
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        d = stack.pop()
-        result.append(d)
-        e = m.alpha[d]
-        if e not in seen:
-            for x in m.vertices[m.vertex_index[e]]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    return result
-
-
 def reduce(t: LabeledMap) -> ReducedTree:
     """Prune degree-1 vertices until none remain, remembering what hung
-    where. Needs one face and positive genus."""
+    where. Needs one face and positive genus.
+
+    The map's single face walk is then cut at its core corners: the
+    corners that follow core corner x up to the next core corner are
+    exactly the darts of the trees hanging in x, rooted at sigma[x],
+    and the core corners come in the core's own face-walk order. The
+    piece holding the root gives the core root, and the original root
+    when it was pruned."""
     m = t.map
     if m.n_faces != 1:
         raise PreconditionError("reduction needs a one-face map")
@@ -256,55 +242,35 @@ def reduce(t: LabeledMap) -> ReducedTree:
         if vdeg[w] == 1:
             stack.append(w)
 
-    # group the pruned darts into runs, one per surviving corner
-    runs: dict[int, list[int]] = {}
-    for v in range(m.n_vertices):
-        if vdeg[v] == 0:
-            continue
-        orbit = m.vertices[v]
-        core_pos = [i for i, d in enumerate(orbit) if alive[d]]
-        for j, i in enumerate(core_pos):
-            stop = core_pos[(j + 1) % len(core_pos)]
-            run = []
-            i2 = (i + 1) % len(orbit)
-            while i2 != stop:
-                run.append(orbit[i2])
-                i2 = (i2 + 1) % len(orbit)
-            runs[orbit[i]] = run
-
-    root_core = m.root
-    second_old = None
-    if not alive[m.root]:
-        for x, run in runs.items():
-            if run and m.root in set(_pendant_subtree(m, run)):
-                root_core = x
-                second_old = m.root
-                break
+    # one piece per core corner: the core dart, then the pruned corners
+    # that follow it; the walk starts at a core corner
+    walk = face_corners(m, m.root)
+    i0 = next(i for i, c in enumerate(walk) if alive[c])
+    pieces: list[tuple[int, list[int]]] = []
+    for c in walk[i0:] + walk[:i0]:
+        if alive[c]:
+            pieces.append((c, []))
         else:
-            raise InternalCheckError("root fell outside every corner")
+            pieces[-1][1].append(c)
+        if c == m.root:
+            r = len(pieces) - 1
+    pieces = pieces[r:] + pieces[:r]
 
     kept = [d for d in range(1, m.n_darts + 1) if alive[d]]
-    core, _ = _restrict_labeled(t, kept, root_core, frozenset(dead_v))
-
-    cs = face_corners(core.map, core.map.root)
-    i0 = cs.index(core.map.root)
-    order = cs[i0:] + cs[:i0]
+    core, _ = _restrict_labeled(t, kept, pieces[0][0], frozenset(dead_v))
     attachments: list[Optional[LabeledMap]] = []
     second_root = None
     # an attachment keeps only its pendant darts, so any vertex may vanish
     all_vertices = frozenset(range(m.n_vertices))
-    for y in order:
-        run = runs[kept[y - 1]]
-        if not run:
+    for x, pendant in pieces:
+        if not pendant:
             attachments.append(None)
             continue
-        att, ren = _restrict_labeled(
-            t, sorted(_pendant_subtree(m, run)), run[0], all_vertices)
+        att, ren = _restrict_labeled(t, sorted(pendant), m.sigma[x],
+                                     all_vertices)
         attachments.append(att)
-        if second_old is not None and second_old in ren:
-            second_root = ren[second_old]
-    if second_old is not None and second_root is None:
-        raise InternalCheckError("root attachment lost the root arc")
+        if m.root in ren:
+            second_root = ren[m.root]
     return ReducedTree(core, tuple(attachments), second_root)
 
 
@@ -361,9 +327,12 @@ def graft(r: ReducedTree) -> LabeledMap:
 def extract_scheme(r: ReducedTree) -> SchemeDecomposition:
     """Contract the core's degree-2 chains; the attachments drop out.
 
-    The walk of each scheme edge reads the core labels along its chain,
-    oriented from the edge's smaller dart. Labels are translated so the
-    smallest becomes 0, then squashed to their rank.
+    One walk per branch dart follows the chain it leaves by, reading the
+    core labels along it; the walk of each scheme edge is the one from
+    the edge's smaller dart. Every core dart leaves along exactly one
+    chain, so the chain walks also meet the core root, and the branch
+    dart that chain leaves from roots the shape. Labels are translated
+    so the smallest becomes 0, then squashed to their rank.
     """
     m = r.core.map
     labels = r.core.labels
@@ -372,23 +341,6 @@ def extract_scheme(r: ReducedTree) -> SchemeDecomposition:
               for d in m.vertices[v]}
     if not branch:
         raise InternalCheckError("positive-genus core with all degrees 2")
-    sigma_inv = [0] * (m.n_darts + 1)
-    for d in range(1, m.n_darts + 1):
-        sigma_inv[m.sigma[d]] = d
-
-    def chain(d: int):
-        # follow the chain leaving branch dart d; collect label steps
-        steps = []
-        x = d
-        prev = labels[vi[x]]
-        while True:
-            e = m.alpha[x]
-            cur = labels[vi[e]]
-            steps.append(cur - prev)
-            prev = cur
-            if e in branch:
-                return e, tuple(steps)
-            x = m.sigma[e]
 
     bdarts = sorted(branch)
     ren = {d: i + 1 for i, d in enumerate(bdarts)}
@@ -396,15 +348,25 @@ def extract_scheme(r: ReducedTree) -> SchemeDecomposition:
     alf = [0] * (len(bdarts) + 1)
     chain_steps: dict[int, tuple[int, ...]] = {}
     for d in bdarts:
+        # follow the chain leaving branch dart d; collect label steps
+        steps = []
+        x = d
+        prev = labels[vi[x]]
+        while True:
+            if x == m.root:
+                root = ren[d]
+            e = m.alpha[x]
+            cur = labels[vi[e]]
+            steps.append(cur - prev)
+            prev = cur
+            if e in branch:
+                break
+            x = m.sigma[e]
         sig[ren[d]] = ren[m.sigma[d]]
-        far, steps = chain(d)
-        alf[ren[d]] = ren[far]
-        chain_steps[ren[d]] = steps
+        alf[ren[d]] = ren[e]
+        chain_steps[ren[d]] = tuple(steps)
 
-    x = m.root
-    while x not in branch:
-        x = m.alpha[sigma_inv[x]]
-    shape = RotationMap(tuple(sig), tuple(alf), ren[x])
+    shape = RotationMap(tuple(sig), tuple(alf), root)
 
     raw = [labels[vi[bdarts[orb[0] - 1]]] for orb in shape.vertices]
     vals = sorted(set(raw))

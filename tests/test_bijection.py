@@ -1,8 +1,6 @@
 """Opening and closure between pointed quadrangulations and labeled maps."""
 
 import hashlib
-import itertools
-import random
 from collections import Counter
 
 import pytest
@@ -19,7 +17,6 @@ from surfmaps import (
     enumerate_embedded_trees,
     enumerate_quadrangulations,
     enumerate_well_labeled_trees,
-    face_corners,
     is_embedded,
     is_well_labeled,
     map_to_quad,
@@ -34,16 +31,7 @@ from surfmaps import (
 from surfmaps import bijection
 from surfmaps.bijection import open as open_map
 from surfmaps.sampler import sample_embedded_tree
-from surfmaps.schemes import (
-    MotzkinWalk,
-    ReducedTree,
-    Scheme,
-    SchemeDecomposition,
-    _shapes,
-    graft,
-    rebuild,
-    reduce,
-)
+from surfmaps.schemes import graft, reduce
 
 
 @pytest.fixture
@@ -370,50 +358,9 @@ def test_large_planar_roundtrips(n):
     assert map_to_quad(quad_to_map(q)).canonical_key() == q.canonical_key()
 
 
-def _motzkin_bridge(rng, length, increment):
-    """A random walk of steps -1, 0, +1 with the given length and sum."""
-    u = rng.randrange((length - abs(increment)) // 2 + 1)
-    sgn = 1 if increment > 0 else -1
-    steps = ([sgn] * abs(increment) + [1, -1] * u
-             + [0] * (length - abs(increment) - 2 * u))
-    rng.shuffle(steps)
-    return MotzkinWalk(steps)
-
-
-def _large_genus_tree(g, seed):
-    """A one-face embedded map of genus g with 2,400 to 3,000 edges: a
-    random scheme, random Motzkin walks along its edges (rebuild), then
-    one pendant edge grafted into every corner of the core."""
-    rng = random.Random(seed)
-    shape = rng.choice(_shapes(rng.randrange(2 * g, 6 * g - 2), g))
-    raw = [rng.randrange(shape.n_vertices) for _ in shape.vertices]
-    ranks = sorted(set(raw))
-    scheme = Scheme(shape, tuple(ranks.index(x) for x in raw))
-    values = tuple(itertools.accumulate(
-        rng.randint(1, 3) for _ in range(scheme.p)))
-    vals = (0,) + values
-    vi = shape.vertex_index
-    walks = []
-    for d, e in shape.edges:
-        inc = vals[scheme.labels[vi[e]]] - vals[scheme.labels[vi[d]]]
-        walks.append(_motzkin_bridge(
-            rng, rng.randint(800 // scheme.k, 1000 // scheme.k), inc))
-    core = rebuild(SchemeDecomposition(scheme, walks, values)).core
-    cm = core.map
-    cs = face_corners(cm, cm.root)
-    i0 = cs.index(cm.root)
-    pendant = RotationMap((0, 1, 2), (0, 2, 1))
-    attachments = []
-    for y in cs[i0:] + cs[:i0]:
-        lab = core.label_of(y)
-        attachments.append(
-            LabeledMap(pendant, (lab, lab + rng.choice((-1, 0, 1)))))
-    return graft(ReducedTree(core, attachments))
-
-
 @pytest.mark.parametrize("g,seed", [(1, 5), (2, 6)])
-def test_large_genus_roundtrips(g, seed):
-    t = _large_genus_tree(g, seed)
+def test_large_genus_roundtrips(g, seed, large_genus_tree):
+    t = large_genus_tree(g, seed)
     assert t.map.genus == g and t.map.n_faces == 1
     assert 2400 <= t.map.n_edges <= 3000
     assert graft(reduce(t)) == t

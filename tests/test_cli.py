@@ -1,6 +1,7 @@
 """The command line, driven through run() with captured output."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import re
@@ -223,6 +224,34 @@ class TestCensus:
                               "--edges", "5", "--genus", "1",
                               "--count-only")
         assert code == 2
+
+
+class TestListingBytes:
+    """Map listings, byte for byte: length and SHA-256 of stdout, pinned
+    from an earlier writer of the listings."""
+
+    LISTINGS = {
+        "schemes --genus 1": (
+            249,
+            "a975024b3e58e33099a1eea3ebfdf39b706e29b507c79e0e7b2b02c7ff0c2e27"),
+        "schemes --genus 1 --dominant": (
+            129,
+            "df8efcca6490d937ed3b7bbe923b3ca4947aff0241be3c3aa3bfc40c041926dd"),
+        "census --what wltrees --edges 3 --genus 1": (
+            1299,
+            "1003ca2fabc781737321b658cf6d66654b07ef7d3287d286783502ebdbc83f47"),
+        "census --what quads --edges 3": (
+            6307,
+            "acbd47642b86cb7c7ea43ad9146e0fdd5fedade9cc724ca5aadc9d197a3f2451"),
+    }
+
+    @pytest.mark.parametrize("argv", list(LISTINGS))
+    def test_stdout_pinned(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == 0
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == \
+            self.LISTINGS[argv]
 
 
 class TestSample:

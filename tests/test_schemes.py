@@ -203,6 +203,75 @@ class TestExtract:
             assert translated_key(r2.core) == translated_key(r.core)
 
 
+def rerootings(t, step=1):
+    """t rerooted at every step-th dart, labels kept."""
+    return [LabeledMap(t.map.reroot(d), t.labels)
+            for d in range(1, t.map.n_darts + 1, step)]
+
+
+def labeled_arrays(a):
+    return None if a is None else (
+        a.map.sigma, a.map.alpha, a.map.root, a.labels)
+
+
+def decomposition_digests(trees):
+    """SHA-256 over every reduce(t), and over every extract_scheme of it,
+    in order."""
+    hr, hs = hashlib.sha256(), hashlib.sha256()
+    for t in trees:
+        r = reduce(t)
+        hr.update(repr((labeled_arrays(r.core),
+                        tuple(map(labeled_arrays, r.attachments)),
+                        r.second_root)).encode())
+        dec = extract_scheme(r)
+        s = dec.scheme
+        hs.update(repr((s.shape.sigma, s.shape.alpha, s.shape.root,
+                        s.labels, tuple(w.steps for w in dec.walks),
+                        dec.values)).encode())
+    return hr.hexdigest(), hs.hexdigest()
+
+
+class TestDecompositionPinned:
+    """reduce and extract_scheme, bit for bit, on every rerooting of the
+    small embedded censuses and every 97th rerooting of two large maps.
+    The (reduce, extract_scheme) digest pairs were pinned from an
+    earlier, independent implementation of both."""
+
+    CENSUS_DIGESTS = {
+        (2, 1): (
+            "a6149909af0ef284e7805842d47052048fb38c71758fdf7c7d6620488ca0ffa3",
+            "9aa5ab6df45946e658df4c54f06d10a2611c228c71037645d0e2f096ec6e059e"),
+        (3, 1): (
+            "a687fe745381ee9a7ea300a197f4108ba596ec55d04926d0bfb0d0618a181fdf",
+            "a41766209059f74fb82928d8ded010521427684df2d535a1a7b627a43ef139d5"),
+        (4, 1): (
+            "e11de73ec238fc0fc74b14ccecaf53514c7f4b75527538e4f93324aa603c7e40",
+            "ad39188973852b8b6df756c1a302a8958724976a6b12fef8212ce8e3694cc469"),
+        (4, 2): (
+            "8278c887fc63086ca2934b0898beb2607d359e8eaa3549703ae505e7cbdd5c71",
+            "c28db5a3a0eb6a005c8ed99a38ce949f6fbb4821743277916ee982aeaa7411c1"),
+    }
+    LARGE_DIGESTS = {
+        (1, 5): (
+            "a5985feec2fad9066e539a835ae814e6f710e115b87d5008b7c93f66b6db962d",
+            "d3856edceb21b65b355fe4ee3c0d12d20ee2b4e8c5c10ad2e88f4a00d64071bc"),
+        (2, 6): (
+            "b0181c6c089117a9dc7a7ab0553dcd191686f821efa9819daa2c38e0645e70c2",
+            "7b672a8f3c51277d2c6ad7c8cdd91c62db1001b97a604ae43c10453498f011af"),
+    }
+
+    @pytest.mark.parametrize("n,g", list(CENSUS_DIGESTS))
+    def test_census_rerootings(self, n, g):
+        trees = [r for t in enumerate_embedded_trees(n, g)
+                 for r in rerootings(t)]
+        assert decomposition_digests(trees) == self.CENSUS_DIGESTS[n, g]
+
+    @pytest.mark.parametrize("g,seed", list(LARGE_DIGESTS))
+    def test_large_rerootings(self, g, seed, large_genus_tree):
+        trees = rerootings(large_genus_tree(g, seed), 97)
+        assert decomposition_digests(trees) == self.LARGE_DIGESTS[g, seed]
+
+
 class TestSchemeType:
     def test_needs_degree_three(self, theta, fig8_subdivided):
         # a failing shape raises on every call, also after a good one passed
