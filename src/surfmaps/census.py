@@ -163,9 +163,17 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
                        min_degree: int = 1) -> Iterator[RotationMap]:
     """All rooted one-face maps with n edges, each exactly once.
 
-    The search fills a list and yields only once it ends, so the first
-    map comes no sooner than the last; a generator inside the search
-    read slower at genus 3.
+    The search pairs the first unpaired dart d with each unpaired e > d
+    in turn, so the maps come in lexicographic order of alpha. The
+    pairing adds the rotation arcs d -> e+1 and e -> d+1. Each unpaired
+    dart t ends an open rotation chain, and t+1 starts one; the chain
+    keeps its endpoints and length at its two ends (head[t] at its tail,
+    tail[h] and size[h] at its head), so each arc is one O(1) join of
+    two chain ends, undone on backtrack. An arc whose tail lies on the
+    chain that starts at its target closes a vertex of that chain's
+    length. The search fills a list and yields only once it ends, so the
+    first map comes no sooner than the last; a generator inside the
+    search read slower at genus 3.
 
     genus filters by vertex count; min_degree prunes any rotation cycle
     that closes below it, which is what makes degree-constrained runs
@@ -189,58 +197,52 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
             return
         max_degree = n_darts - min_degree * (target_v - 1)
     alf = [0] * (n_darts + 1)
-    # nxt is sigma where it is known; prv is its inverse. An unpaired dart
-    # ends an open rotation chain, and the dart after it starts one.
-    nxt = [0] * (n_darts + 1)
-    prv = [0] * (n_darts + 1)
+    # nothing is paired yet: every dart is a chain of its own
+    head = list(range(n_darts + 1))
+    tail = list(range(n_darts + 1))
+    size = [1] * (n_darts + 1)
     out: list[RotationMap] = []
 
-    def chain(start: int, other: int) -> tuple[int, bool, bool]:
-        """Length of the rotation chain through start, whether it is a
-        closed cycle, and whether it passes through other."""
-        length = 1
-        met = False
-        x = nxt[start]
-        while x and x != start:
-            length += 1
-            met = met or x == other
-            x = nxt[x]
-        if x:
-            return length, True, met
-        x = prv[start]
-        while x:
-            length += 1
-            met = met or x == other
-            x = prv[x]
-        return length, False, met
-
-    def rec(unpaired: int, closed: int, closed_darts: int) -> None:
+    def rec(d: int, unpaired: int, closed: int, closed_darts: int) -> None:
         if unpaired == 0:
-            sigma = (0,) + tuple(nxt[1:])
-            alpha = (0,) + tuple(alf[1:])
-            out.append(RotationMap(sigma, alpha))
+            # sigma(x) = alpha(x) + 1 in the face-walk numbering
+            sigma = (0,) + tuple(a % n_darts + 1 for a in alf[1:])
+            out.append(RotationMap(sigma, tuple(alf)))
             return
-        d = next(x for x in range(1, n_darts + 1) if alf[x] == 0)
         d1 = d % n_darts + 1
         for e in range(d + 1, n_darts + 1):
             if alf[e] != 0:
                 continue
             e1 = e % n_darts + 1
-            alf[d], alf[e] = e, d
-            nxt[d], nxt[e] = e1, d1
-            prv[e1], prv[d1] = d, e
             c2, cd2 = closed, closed_darts
-            ok = True
-            hit = chain(d, e)
-            # e lies on a second chain unless d's chain passes through it
-            chains = [hit] if hit[2] else [hit, chain(e, d)]
-            for length, is_cycle, _ in chains:
-                if length > max_degree or (is_cycle and length < min_degree):
-                    ok = False
-                    break
-                if is_cycle:
-                    c2 += 1
-                    cd2 += length
+            # arc d -> e1: d ends the chain that starts at ha, e1 starts
+            # the chain that ends at tb
+            ha, sb = head[d], size[e1]
+            tb = 0
+            if ha == e1:
+                if sb < min_degree or sb > max_degree:
+                    continue
+                c2 += 1
+                cd2 += sb
+            else:
+                sa = size[ha]
+                if sa + sb > max_degree:
+                    continue
+                tb = tail[e1]
+                head[tb], tail[ha], size[ha] = ha, tb, sa + sb
+            # arc e -> d1, on the chains as the first arc left them
+            hc, sd = head[e], size[d1]
+            td = 0
+            if hc == d1:
+                ok = min_degree <= sd <= max_degree
+                c2 += 1
+                cd2 += sd
+            else:
+                sc = size[hc]
+                ok = sc + sd <= max_degree
+                if ok:
+                    td = tail[d1]
+                    head[td], tail[hc], size[hc] = hc, td, sc + sd
             if ok and target_v is not None:
                 # every open rotation chain ends at an unpaired dart, so
                 # unpaired-2 bounds how many vertex cycles can still form
@@ -250,12 +252,18 @@ def iter_one_face_maps(n_edges: int, genus: int | None = None,
                         or target_v - c2 > unpaired - 2):
                     ok = False
             if ok:
-                rec(unpaired - 2, c2, cd2)
-            alf[d] = alf[e] = 0
-            nxt[d] = nxt[e] = 0
-            prv[e1] = prv[d1] = 0
+                alf[d], alf[e] = e, d
+                nd = d + 1
+                while nd <= n_darts and alf[nd] != 0:
+                    nd += 1
+                rec(nd, unpaired - 2, c2, cd2)
+                alf[d] = alf[e] = 0
+            if td:
+                head[td], tail[hc], size[hc] = d1, e, sc
+            if tb:
+                head[tb], tail[ha], size[ha] = e1, d, sa
 
-    rec(n_darts, 0, 0)
+    rec(1, n_darts, 0, 0)
     yield from out
 
 

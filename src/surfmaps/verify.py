@@ -260,12 +260,19 @@ def _check_structural() -> str:
                  == m.unrooted_key(),
                  "unrooted key moved under rerooting")
 
+    # imported here, so importing the package loads nothing more
+    from .oracles import scheme_shape_counts
+
     # both laws read only the shape, so each shape is checked once
     # rather than once per labeling
     checked = 0
     for g in (1, 2):
-        for k in range(2 * g, 6 * g - 2):
-            for shape in _shapes(k, g):
+        for k, want in scheme_shape_counts(g).items():
+            shapes = _shapes(k, g)
+            _require(len(shapes) == want,
+                     f"{len(shapes)} genus {g} scheme shapes with {k} "
+                     f"edges, the Harer-Zagier solve gives {want}")
+            for shape in shapes:
                 degs = [len(orb) for orb in shape.vertices]
                 _require(sum(d - 2 for d in degs) == 4 * g - 2,
                          f"degree law fails for a genus {g} scheme shape")
@@ -273,7 +280,7 @@ def _check_structural() -> str:
                          f"edge bound fails for a genus {g} scheme shape")
                 checked += 1
     return (f"10000 surgeries, 300 dual/relabel/reroot probes, degree law "
-            f"on {checked} scheme shapes")
+            f"and Harer-Zagier count on {checked} scheme shapes")
 
 
 def _chi2_sf(x: float, dof: int) -> float:
